@@ -125,6 +125,33 @@ func TestBasisCacheBounded(t *testing.T) {
 	}
 }
 
+// TestDuquenneGuiguesMinesNoFamily pins that the Duquenne–Guigues
+// basis, and the derivation engine built on it, come from FC alone:
+// the Result's lazily mined frequent-itemset family stays unmined.
+func TestDuquenneGuiguesMinesNoFamily(t *testing.T) {
+	res, err := MineContext(context.Background(), classic(t), WithMinSupport(0.4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	dg, err := res.Basis(ctx, "duquenne-guigues")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dg.Len() != 3 {
+		t.Fatalf("|DG| = %d, want 3", dg.Len())
+	}
+	if _, err := res.DerivationEngine(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.PseudoClosedItemsets(); err != nil {
+		t.Fatal(err)
+	}
+	if res.fam != nil {
+		t.Fatal("building DG mined the frequent-itemset family")
+	}
+}
+
 // TestBasisEquivalenceClassic asserts byte-identical output between
 // every deprecated basis method and its registry-era replacement on
 // the paper's worked example.

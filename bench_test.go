@@ -99,10 +99,6 @@ func BenchmarkE1_ClosedVsFrequent_Census(b *testing.B)   { benchE1(b, censusBenc
 
 func benchE2(b *testing.B, d *dataset.Dataset, minSup float64) {
 	abs := d.AbsoluteSupport(minSup)
-	fam, _, err := apriori.Mine(d, abs)
-	if err != nil {
-		b.Fatal(err)
-	}
 	fc, _, err := closealg.Mine(d, abs)
 	if err != nil {
 		b.Fatal(err)
@@ -110,7 +106,7 @@ func benchE2(b *testing.B, d *dataset.Dataset, minSup float64) {
 	b.ResetTimer()
 	var nDG int
 	for i := 0; i < b.N; i++ {
-		dg, err := core.DuquenneGuigues(d.NumTransactions(), fam, fc)
+		dg, err := core.DuquenneGuigues(context.Background(), d.NumTransactions(), fc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,9 +16,8 @@ import (
 // available: supports and closures of arbitrary frequent itemsets, the
 // iceberg lattice, the Luxenburger bases and (when the collection
 // carries generators) the generic and informative bases. The
-// Duquenne–Guigues basis is not available here: its pseudo-closed
-// antecedents quantify over all frequent itemsets, which requires the
-// expansion of FC (use Mine + Result when the data is at hand).
+// collection does not expose the Duquenne–Guigues basis; use Mine +
+// Result for it.
 type ClosedCollection struct {
 	set   *closedset.Set
 	numTx int

@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"closedrules/internal/closedset"
-	"closedrules/internal/itemset"
 	"closedrules/internal/lattice"
 	"closedrules/internal/rules"
 )
@@ -35,17 +34,12 @@ type Requirements struct {
 	Generators bool
 	// Lattice requires the iceberg lattice of the closed itemsets.
 	Lattice bool
-	// FrequentItemsets requires the complete frequent-itemset family
-	// (the Duquenne–Guigues pseudo-closed antecedents quantify over
-	// all frequent itemsets, not just the closed ones).
-	FrequentItemsets bool
 }
 
 // BuildInput carries everything a basis construction may consume. The
-// expensive inputs — the iceberg lattice and the frequent-itemset
-// family — are handed over as thunks so a builder that does not need
-// them never pays for them; Build guarantees a thunk a builder
-// declared in its Requirements is non-nil.
+// expensive input — the iceberg lattice — is handed over as a thunk so
+// a builder that does not need it never pays for it; Build guarantees
+// the thunk is non-nil when a builder declares it in its Requirements.
 type BuildInput struct {
 	// NumTx is |O|, the transaction count of the mined dataset.
 	NumTx int
@@ -71,8 +65,6 @@ type BuildInput struct {
 	IncludeEmptyAntecedent bool
 	// Lattice lazily builds (and caches) the iceberg lattice.
 	Lattice func() *lattice.Lattice
-	// Family lazily mines (and caches) the frequent-itemset family.
-	Family func() (*itemset.Family, error)
 	// ResolveGenerators, when non-nil, lazily re-mines FC with a
 	// generator-tracking miner. Build consults it only when a
 	// generator-requiring basis meets a generator-less FC: on success
@@ -207,11 +199,6 @@ func Build(ctx context.Context, name string, in BuildInput) (RuleSet, error) {
 	}
 	if req.Lattice && in.Lattice == nil {
 		return RuleSet{}, fmt.Errorf("closedrules: basis %q needs the iceberg lattice, and none is available", b.Name())
-	}
-	if req.FrequentItemsets && in.Family == nil {
-		return RuleSet{}, fmt.Errorf(
-			"closedrules: basis %q needs the frequent-itemset family, which requires the mining result (not available from a detached collection)",
-			b.Name())
 	}
 	// The negated-AND form also rejects NaN, which passes every
 	// ordered comparison.

@@ -29,24 +29,17 @@ type duquenneGuigues struct{}
 // Name returns the basis's registry name.
 func (duquenneGuigues) Name() string { return "duquenne-guigues" }
 
-// Requirements declares the frequent-itemset family (pseudo-closed
-// antecedents quantify over all frequent itemsets).
+// Requirements declares nothing beyond FC: the pseudo-closed
+// antecedents are enumerated from the closed itemsets alone.
 func (duquenneGuigues) Requirements() basis.Requirements {
-	return basis.Requirements{FrequentItemsets: true}
+	return basis.Requirements{}
 }
 
 // Build constructs the basis. Every rule has confidence 1, so the
 // confidence threshold never filters anything; the Reduced flag is
 // ignored (the basis is already minimal).
 func (duquenneGuigues) Build(ctx context.Context, in basis.BuildInput) (basis.RuleSet, error) {
-	fam, err := in.Family()
-	if err != nil {
-		return basis.RuleSet{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return basis.RuleSet{}, err
-	}
-	list, err := core.DuquenneGuigues(in.NumTx, fam, in.FC)
+	list, err := core.DuquenneGuigues(ctx, in.NumTx, in.FC)
 	if err != nil {
 		return basis.RuleSet{}, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -66,7 +67,7 @@ func E2(w Workload) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	dg, err := core.DuquenneGuigues(w.D.NumTransactions(), fam, fc)
+	dg, err := core.DuquenneGuigues(context.TODO(), w.D.NumTransactions(), fc)
 	if err != nil {
 		return t, err
 	}
@@ -287,7 +288,7 @@ func E7(w Workload) (Table, error) {
 	var dg []rules.Rule
 	dDG, err := timed(func() error {
 		var err error
-		dg, err = core.DuquenneGuigues(w.D.NumTransactions(), fam, fcRes)
+		dg, err = core.DuquenneGuigues(context.TODO(), w.D.NumTransactions(), fcRes)
 		return err
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -29,8 +30,8 @@ func classic(t *testing.T) (*dataset.Context, *itemset.Family, *closedset.Set) {
 }
 
 func TestPseudoClosedSetsClassic(t *testing.T) {
-	ctx, fam, fc := classic(t)
-	got, err := PseudoClosedSets(ctx.NumObjects, fam, fc)
+	ctx, _, fc := classic(t)
+	got, err := PseudoClosedSets(context.Background(), ctx.NumObjects, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +57,8 @@ func TestPseudoClosedMatchesNaiveRandom(t *testing.T) {
 		d := testgen.Random(r, 16, 8, 0.45)
 		minSup := 1 + r.Intn(3)
 		ctx := d.Context()
-		fam := naive.FrequentItemsets(ctx, minSup)
 		fc := naive.ClosedItemsets(ctx, minSup)
-		got, err := PseudoClosedSets(ctx.NumObjects, fam, fc)
+		got, err := PseudoClosedSets(context.Background(), ctx.NumObjects, fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,8 +79,8 @@ func TestPseudoClosedMatchesNaiveRandom(t *testing.T) {
 }
 
 func TestDuquenneGuiguesClassic(t *testing.T) {
-	ctx, fam, fc := classic(t)
-	dg, err := DuquenneGuigues(ctx.NumObjects, fam, fc)
+	ctx, _, fc := classic(t)
+	dg, err := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +110,8 @@ func TestDGSoundness(t *testing.T) {
 		d := testgen.Random(r, 16, 8, 0.45)
 		minSup := 1 + r.Intn(3)
 		ctx := d.Context()
-		fam := naive.FrequentItemsets(ctx, minSup)
 		fc := naive.ClosedItemsets(ctx, minSup)
-		dg, err := DuquenneGuigues(ctx.NumObjects, fam, fc)
+		dg, err := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +137,7 @@ func TestDGCompleteness(t *testing.T) {
 		ctx := d.Context()
 		fam := naive.FrequentItemsets(ctx, minSup)
 		fc := naive.ClosedItemsets(ctx, minSup)
-		dg, err := DuquenneGuigues(ctx.NumObjects, fam, fc)
+		dg, err := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +165,7 @@ func TestDGClosureMatchesGalois(t *testing.T) {
 		ctx := d.Context()
 		fam := naive.FrequentItemsets(ctx, minSup)
 		fc := naive.ClosedItemsets(ctx, minSup)
-		dg, err := DuquenneGuigues(ctx.NumObjects, fam, fc)
+		dg, err := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,9 +194,8 @@ func TestDGNonRedundant(t *testing.T) {
 		d := testgen.Random(r, 16, 8, 0.45)
 		minSup := 1 + r.Intn(3)
 		ctx := d.Context()
-		fam := naive.FrequentItemsets(ctx, minSup)
 		fc := naive.ClosedItemsets(ctx, minSup)
-		dg, err := DuquenneGuigues(ctx.NumObjects, fam, fc)
+		dg, err := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +289,7 @@ func TestEngineDerivesEveryRule(t *testing.T) {
 		fc := naive.ClosedItemsets(ctx, minSup)
 		lat := lattice.Build(fc)
 
-		dg, err := DuquenneGuigues(ctx.NumObjects, fam, fc)
+		dg, err := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +329,7 @@ func TestEngineSupportsEveryFrequentItemset(t *testing.T) {
 		fam := naive.FrequentItemsets(ctx, minSup)
 		fc := naive.ClosedItemsets(ctx, minSup)
 		lat := lattice.Build(fc)
-		dg, _ := DuquenneGuigues(ctx.NumObjects, fam, fc)
+		dg, _ := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 		red, _ := LuxenburgerReduction(lat, fc, LuxenburgerOptions{IncludeEmptyAntecedent: true})
 		eng, err := NewEngine(ctx.NumObjects, dg, red)
 		if err != nil {
@@ -348,9 +346,9 @@ func TestEngineSupportsEveryFrequentItemset(t *testing.T) {
 }
 
 func TestEngineRejectsOverlap(t *testing.T) {
-	ctx, fam, fc := classic(t)
+	ctx, _, fc := classic(t)
 	lat := lattice.Build(fc)
-	dg, _ := DuquenneGuigues(ctx.NumObjects, fam, fc)
+	dg, _ := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 	red, _ := LuxenburgerReduction(lat, fc, LuxenburgerOptions{IncludeEmptyAntecedent: true})
 	eng, _ := NewEngine(ctx.NumObjects, dg, red)
 	if _, err := eng.Rule(itemset.Of(1), itemset.Of(1, 4)); err == nil {
@@ -362,9 +360,9 @@ func TestEngineRejectsOverlap(t *testing.T) {
 }
 
 func TestEngineHolds(t *testing.T) {
-	ctx, fam, fc := classic(t)
+	ctx, _, fc := classic(t)
 	lat := lattice.Build(fc)
-	dg, _ := DuquenneGuigues(ctx.NumObjects, fam, fc)
+	dg, _ := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 	red, _ := LuxenburgerReduction(lat, fc, LuxenburgerOptions{IncludeEmptyAntecedent: true})
 	eng, _ := NewEngine(ctx.NumObjects, dg, red)
 	// C→B has conf 3/4 and support 3.
@@ -422,9 +420,8 @@ func TestGenericBasisEquivalentToDG(t *testing.T) {
 		d := testgen.Random(r, 16, 8, 0.45)
 		minSup := 1 + r.Intn(3)
 		ctx := d.Context()
-		fam := naive.FrequentItemsets(ctx, minSup)
 		fc := naive.ClosedItemsets(ctx, minSup)
-		dg, err := DuquenneGuigues(ctx.NumObjects, fam, fc)
+		dg, err := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 		if err != nil {
 			t.Fatal(err)
 		}

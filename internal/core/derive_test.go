@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,7 +24,7 @@ func TestDeriveAllRulesMatchesGenerate(t *testing.T) {
 		fam := naive.FrequentItemsets(ctx, minSup)
 		fc := naive.ClosedItemsets(ctx, minSup)
 		lat := lattice.Build(fc)
-		dg, err := DuquenneGuigues(ctx.NumObjects, fam, fc)
+		dg, err := DuquenneGuigues(context.Background(), ctx.NumObjects, fc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"closedrules/internal/closedset"
@@ -18,8 +19,11 @@ import (
 // basis contains the rule ∅ → h(∅), which conventional rule listings
 // omit; keep or filter it with DropEmptyAntecedent depending on the
 // comparison being made.
-func DuquenneGuigues(numTx int, fam *itemset.Family, fc *closedset.Set) ([]rules.Rule, error) {
-	pseudo, err := PseudoClosedSets(numTx, fam, fc)
+//
+// The basis is built from FC alone (see PseudoClosedSets); ctx cancels
+// the enumeration.
+func DuquenneGuigues(ctx context.Context, numTx int, fc *closedset.Set) ([]rules.Rule, error) {
+	pseudo, err := PseudoClosedSets(ctx, numTx, fc)
 	if err != nil {
 		return nil, err
 	}

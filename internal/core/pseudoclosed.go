@@ -17,8 +17,10 @@
 package core
 
 import (
-	"fmt"
+	"context"
+	"sort"
 
+	"closedrules/internal/bitset"
 	"closedrules/internal/closedset"
 	"closedrules/internal/itemset"
 )
@@ -31,47 +33,202 @@ type Pseudo struct {
 	Support int // supp(Items) = supp(Closure)
 }
 
-// PseudoClosedSets computes the frequent pseudo-closed itemsets from
-// the frequent itemsets and the frequent closed itemsets (Theorem 1's
-// definition): a frequent itemset I is pseudo-closed iff it is not
-// closed and h(Q) ⊆ I for every frequent pseudo-closed Q ⊊ I. The
-// empty set is pseudo-closed iff it is not closed (h(∅) ≠ ∅).
+// PseudoClosedSets computes the frequent pseudo-closed itemsets of
+// Theorem 1 — a frequent itemset I is pseudo-closed iff it is not
+// closed and h(Q) ⊆ I for every frequent pseudo-closed Q ⊊ I; ∅ is
+// pseudo-closed iff h(∅) ≠ ∅ — from the frequent closed itemsets
+// alone. numTx is |O|; FC must be complete down to the mining
+// threshold, bottom included. Results are in size-ascending canonical
+// order.
 //
-// numTx is |O|, needed for the support of ∅. The frequent family must
-// be complete down to the mining threshold; results are in
-// size-ascending canonical order.
-func PseudoClosedSets(numTx int, fam *itemset.Family, fc *closedset.Set) ([]Pseudo, error) {
+// The enumeration is Ganter's NextClosure in lectic order over L•, the
+// closure under the implications P → h(P) of the pseudo-closed sets
+// found so far, fired by premises strictly inside the set. The
+// L•-closed sets are exactly the closed and the pseudo-closed sets, so
+// every frequent one that is not closed is recorded together with its
+// implication. Every candidate lies lectically beyond every recorded
+// premise, and so does each superset it grows into, so no premise ever
+// equals the set being closed and strictness needs no test.
+//
+// Frequency and h come from per-item posting bitsets over FC ids in
+// size-ascending order: the AND of X's postings (its FC extent) is
+// non-empty iff X is frequent, and its lowest id is h(X).
+// Because the implications hold in the data, L• keeps the FC extent of
+// a frequent set, so the extent of a NextClosure candidate
+// (A ∩ {<i}) ∪ {i} — one probe of the prefix extent against i's
+// posting — is also the extent of its L•-closure. A failed probe
+// proves every L•-closed set with that prefix infrequent, and the
+// enumeration moves straight to i−1.
+//
+// ctx is checked once per enumerated set.
+func PseudoClosedSets(ctx context.Context, numTx int, fc *closedset.Set) ([]Pseudo, error) {
+	if numTx <= 0 || fc.Len() == 0 {
+		return nil, nil // ∅ is infrequent, hence so is everything
+	}
+	e := newEnumerator(fc)
 	var out []Pseudo
-	consider := func(items itemset.Itemset) error {
-		if fc.Contains(items) {
-			return nil // closed, not pseudo-closed
+	// record checks the current set a, whose FC extent tops the stack.
+	record := func(a bitset.Set) {
+		c := e.closed[e.ext[len(e.elems)].Next(0)]
+		if len(c.Items) == a.Count() {
+			return // closed, not pseudo-closed
 		}
-		for _, q := range out {
-			if items.ContainsAll(q.Items) && !items.ContainsAll(q.Closure) {
-				return nil // misses the closure of a pseudo-closed subset
-			}
-		}
-		cl, ok := fc.ClosureOf(items)
-		if !ok {
-			return fmt.Errorf("core: no closure for frequent itemset %v (FC incomplete?)", items)
-		}
-		out = append(out, Pseudo{Items: items, Closure: cl.Items, Support: cl.Support})
-		return nil
+		out = append(out, Pseudo{Items: e.itemsOf(a), Closure: c.Items, Support: c.Support})
+		e.premises = append(e.premises, a.Clone())
+		e.conclusions = append(e.conclusions, e.indexSet(c.Items))
 	}
 
-	// ∅ is frequent iff |O| ≥ minsup, which holds exactly when the
-	// mining run produced a bottom element (FC non-empty).
-	if numTx > 0 && fc.Len() > 0 {
-		if err := consider(itemset.Empty()); err != nil {
+	// L•(∅) = ∅ is the lectically first set; its extent is all of FC.
+	a := bitset.New(len(e.items))
+	record(a)
+	for {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	}
-	// fam.All() is (size, lex)-ordered: every proper subset of an
-	// itemset precedes it, which is all the recurrence needs.
-	for _, f := range fam.All() {
-		if err := consider(f.Items); err != nil {
-			return nil, err
+		if !e.next(a) {
+			break
 		}
+		record(a)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Items.Compare(out[j].Items) < 0 })
 	return out, nil
+}
+
+// enumerator holds the FC index and the NextClosure state. Itemsets
+// are bitsets over item indices 0…k−1, the frequent items in
+// ascending order; lectic order on indices is lectic order on items.
+type enumerator struct {
+	closed   []closedset.Closed // FC in (size, lex) order: id → set
+	items    []int              // item index → item
+	index    map[int]int        // item → item index
+	postings []bitset.Set       // item index → ids of the FC sets holding it
+
+	// elems lists the current set A in ascending order; ext[t] is the
+	// FC extent of its first t elements, so ext[0] is all of FC.
+	elems []int
+	ext   []bitset.Set
+
+	premises    []bitset.Set // pseudo-closed sets found so far
+	conclusions []bitset.Set // their closures
+	cand        bitset.Set   // scratch for the candidate under L•
+	diff        bitset.Set   // scratch for the lectic prefix test
+}
+
+func newEnumerator(fc *closedset.Set) *enumerator {
+	e := &enumerator{closed: fc.All(), index: map[int]int{}}
+	for _, c := range e.closed {
+		for _, it := range c.Items {
+			if _, ok := e.index[it]; !ok {
+				e.index[it] = 0
+				e.items = append(e.items, it)
+			}
+		}
+	}
+	sort.Ints(e.items)
+	for j, it := range e.items {
+		e.index[it] = j
+	}
+	m := len(e.closed)
+	e.postings = make([]bitset.Set, len(e.items))
+	for j := range e.postings {
+		e.postings[j] = bitset.New(m)
+	}
+	for id, c := range e.closed {
+		for _, it := range c.Items {
+			e.postings[e.index[it]].Add(id)
+		}
+	}
+	e.ext = []bitset.Set{bitset.Full(m)}
+	e.cand = bitset.New(len(e.items))
+	e.diff = bitset.New(len(e.items))
+	return e
+}
+
+// next advances a to the lectically next frequent L•-closed set and
+// reports whether there is one. On success e.elems lists the new set
+// and e.ext[len(e.elems)] holds its FC extent.
+func (e *enumerator) next(a bitset.Set) bool {
+	t := len(e.elems) // |A ∩ {0…i}| at the top of each iteration
+	for i := len(e.items) - 1; i >= 0; i-- {
+		if a.Has(i) {
+			t--
+			continue
+		}
+		// (A ∩ {<i}) ∪ {i} is frequent iff A's prefix extent meets
+		// posting[i]; if not, no L•-closed set with this prefix is.
+		if !e.ext[t].IntersectionAtLeast(e.postings[i], 1) {
+			continue
+		}
+		e.cand.Clear()
+		for _, x := range e.elems[:t] {
+			e.cand.Add(x)
+		}
+		e.cand.Add(i)
+		e.closeUnder(e.cand)
+		// Lectic successor test: L• added no element below i that A
+		// lacks, i.e. the smallest element of cand ∖ A is i itself.
+		if e.diff.AndNotInto(e.cand, a).Next(0) != i {
+			continue
+		}
+		a.Copy(e.cand)
+		e.advance(t, i, a)
+		return true
+	}
+	return false
+}
+
+// advance rebuilds the extent stack for the new set a, which shares
+// its first t elements with the old one and has i as element t. Every
+// prefix from (A ∩ {<i}) ∪ {i} on has the same extent, because L•
+// keeps extents.
+func (e *enumerator) advance(t, i int, a bitset.Set) {
+	e.elems = e.elems[:t]
+	a.ForEach(func(x int) bool {
+		if x >= i {
+			e.elems = append(e.elems, x)
+		}
+		return true
+	})
+	for len(e.ext) <= len(e.elems) {
+		e.ext = append(e.ext, bitset.New(len(e.closed)))
+	}
+	e.ext[t+1].AndInto(e.ext[t], e.postings[i])
+	for j := t + 2; j <= len(e.elems); j++ {
+		e.ext[j].Copy(e.ext[t+1])
+	}
+}
+
+// closeUnder replaces y with its closure under the recorded
+// implications: the least superset that contains h(P) for every
+// recorded pseudo-closed P ⊆ it.
+func (e *enumerator) closeUnder(y bitset.Set) {
+	for changed := true; changed; {
+		changed = false
+		for j, p := range e.premises {
+			c := e.conclusions[j]
+			if p.IsSubsetOf(y) && !c.IsSubsetOf(y) {
+				y.Or(c)
+				changed = true
+			}
+		}
+	}
+}
+
+// itemsOf maps an item-index bitset back to an itemset.
+func (e *enumerator) itemsOf(a bitset.Set) itemset.Itemset {
+	out := make(itemset.Itemset, 0, a.Count())
+	a.ForEach(func(x int) bool {
+		out = append(out, e.items[x])
+		return true
+	})
+	return out
+}
+
+// indexSet maps a closed itemset to its item-index bitset.
+func (e *enumerator) indexSet(items itemset.Itemset) bitset.Set {
+	s := bitset.New(len(e.items))
+	for _, it := range items {
+		s.Add(e.index[it])
+	}
+	return s
 }

@@ -68,13 +68,13 @@ func FrequentMiners() []string { return miner.FrequentNames() }
 type BasisBuilder = basis.Builder
 
 // BasisRequirements declares what a basis construction needs from the
-// mining result (generators, the iceberg lattice, the frequent-itemset
-// family); the registry verifies them before every Build.
+// mining result beyond the closed itemsets (generators, the iceberg
+// lattice); the registry verifies them before every Build.
 type BasisRequirements = basis.Requirements
 
 // BasisInput carries the mining result's components into a
-// BasisBuilder: the closed itemsets, |O|, and lazy thunks for the
-// lattice and the frequent-itemset family.
+// BasisBuilder: the closed itemsets, |O|, and a lazy thunk for the
+// lattice.
 type BasisInput = basis.BuildInput
 
 // RuleSet is a constructed rule basis with its provenance: the basis

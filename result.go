@@ -28,7 +28,7 @@ type Result struct {
 	fc        *closedset.Set
 
 	famOnce sync.Once
-	fam     *itemset.Family // lazily mined (Apriori)
+	fam     *itemset.Family // lazily mined (Apriori) for FrequentItemsets and AllRules
 	famErr  error
 	latOnce sync.Once
 	lat     *lattice.Lattice // lazily built
@@ -102,8 +102,8 @@ func (r *Result) latticeOf() *lattice.Lattice {
 
 // FrequentItemsets returns all frequent itemsets (mined lazily with
 // Apriori at the Result's threshold). The paper's §2 guarantees these
-// are recoverable from FC; this method exists for comparisons and for
-// basis construction.
+// are recoverable from FC; this method exists for comparisons — no
+// basis construction needs it.
 func (r *Result) FrequentItemsets() ([]CountedItemset, error) {
 	fam, err := r.family()
 	if err != nil {
@@ -180,7 +180,6 @@ func (r *Result) buildInput(cfg basisConfig) basis.BuildInput {
 		Reduced:                cfg.reduced,
 		IncludeEmptyAntecedent: cfg.includeEmpty,
 		Lattice:                r.latticeOf,
-		Family:                 r.family,
 	}
 	if cfg.genResolve && !r.hasGens {
 		in.ResolveGenerators = r.resolveGenerators
@@ -348,13 +347,10 @@ func (r *Result) InformativeBasis(minConf float64, reduced bool) ([]Rule, error)
 }
 
 // PseudoClosedItemsets returns the frequent pseudo-closed itemsets —
-// the antecedents of the Duquenne–Guigues basis.
+// the antecedents of the Duquenne–Guigues basis — enumerated from the
+// closed itemsets alone, in canonical order.
 func (r *Result) PseudoClosedItemsets() ([]CountedItemset, error) {
-	fam, err := r.family()
-	if err != nil {
-		return nil, err
-	}
-	ps, err := core.PseudoClosedSets(r.d.NumTransactions(), fam, r.fc)
+	ps, err := core.PseudoClosedSets(context.TODO(), r.d.NumTransactions(), r.fc)
 	if err != nil {
 		return nil, err
 	}
