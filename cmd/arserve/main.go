@@ -10,7 +10,7 @@
 //	        [-refresh 30s] [-refresh-timeout 1m]
 //	        [-incremental=true] [-incremental-max-ratio 0.25]
 //	        [-request-timeout 5s] [-mine-timeout 0] [-max-k 100]
-//	        [-max-inflight 0] [-batch 0] [-batch-wait 2ms]
+//	        [-max-inflight 0]
 //	        [-multi-tenant] [-max-tenants 64]
 //	        [-tenant-memory-budget 268435456] [-mine-workers 2]
 //	        [-tenant-data-dir /srv/datasets]
@@ -100,8 +100,6 @@ type config struct {
 	refreshTimeout time.Duration
 	maxK           int
 	maxInflight    int
-	batch          int
-	batchWait      time.Duration
 	incremental    bool
 	incrementalMax float64
 	multiTenant    bool
@@ -131,8 +129,6 @@ func parseFlags(args []string) (*config, error) {
 		refreshTimeout = fs.Duration("refresh-timeout", 0, "deadline per refresh cycle (0 = same as -mine-timeout)")
 		maxK           = fs.Int("max-k", server.DefaultMaxRecommend, "cap on the k of a recommend request")
 		maxInflight    = fs.Int("max-inflight", 0, "per-endpoint admission cap; excess requests get a fast 429 (0 = off)")
-		batch          = fs.Int("batch", 0, "coalesce concurrent /recommend calls into batches of this size (0 = off)")
-		batchWait      = fs.Duration("batch-wait", 0, "max time a /recommend call waits for its batch to fill (0 = server default)")
 		incremental    = fs.Bool("incremental", true, "update the served snapshot in place when the input file grows by appended transactions, instead of re-mining")
 		incrementalMax = fs.Float64("incremental-max-ratio", 0, "largest append batch, as a fraction of the committed transaction count, still handled incrementally (0 = default 0.25)")
 		multiTenant    = fs.Bool("multi-tenant", false, "serve the dataset registry and per-tenant routes (/datasets, /jobs); -in becomes the pinned default tenant")
@@ -150,8 +146,8 @@ func parseFlags(args []string) (*config, error) {
 	if *refreshEvery < 0 || *refreshTimeout < 0 {
 		return nil, fmt.Errorf("-refresh and -refresh-timeout must be non-negative")
 	}
-	if *maxInflight < 0 || *batch < 0 || *batchWait < 0 {
-		return nil, fmt.Errorf("-max-inflight, -batch and -batch-wait must be non-negative")
+	if *maxInflight < 0 {
+		return nil, fmt.Errorf("-max-inflight must be non-negative")
 	}
 	if *incrementalMax < 0 {
 		return nil, fmt.Errorf("-incremental-max-ratio must be non-negative")
@@ -166,7 +162,7 @@ func parseFlags(args []string) (*config, error) {
 		exactBasis: *exactBasis, approxBasis: *approxBasis,
 		addr: *addr, reqTimeout: *reqTimeout, mineTimeout: *mineTimeout,
 		refresh: *refreshEvery, refreshTimeout: *refreshTimeout, maxK: *maxK,
-		maxInflight: *maxInflight, batch: *batch, batchWait: *batchWait,
+		maxInflight: *maxInflight,
 		incremental: *incremental, incrementalMax: *incrementalMax,
 		multiTenant: *multiTenant, maxTenants: *maxTenants,
 		tenantBudget: *tenantBudget, mineWorkers: *mineWorkers,
@@ -253,8 +249,6 @@ func setup(ctx context.Context, args []string) (*server.Server, *refresh.Refresh
 		MaxRecommend:       cfg.maxK,
 		Refresher:          ref,
 		MaxInFlight:        cfg.maxInflight,
-		BatchSize:          cfg.batch,
-		BatchMaxWait:       cfg.batchWait,
 		MultiTenant:        cfg.multiTenant,
 		MaxTenants:         cfg.maxTenants,
 		TenantMemoryBudget: cfg.tenantBudget,

@@ -338,21 +338,21 @@ func TestRefreshFlagPicksUpAppendedTransactions(t *testing.T) {
 	}
 }
 
-// TestServingKnobFlags pins that -max-inflight, -batch and -batch-wait
-// reach the server config: with a one-slot gate and a pinned batch the
-// stack sheds a concurrent burst with 429s, and healthz reports both
-// admission and batching blocks.
+// TestServingKnobFlags pins that -max-inflight reaches the server
+// config: with a one-slot gate every request of a concurrent burst is
+// answered with a 200 or a 429, and healthz reports the admission
+// block.
 func TestServingKnobFlags(t *testing.T) {
 	path := writeClassic(t)
 	srv, _, cfg, err := setup(context.Background(), []string{
 		"-in", path, "-minsup", "0.4",
-		"-max-inflight", "1", "-batch", "8", "-batch-wait", "100ms",
+		"-max-inflight", "1",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	if cfg.maxInflight != 1 || cfg.batch != 8 || cfg.batchWait != 100*time.Millisecond {
+	if cfg.maxInflight != 1 {
 		t.Fatalf("parsed knobs = %+v", cfg)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -396,9 +396,6 @@ func TestServingKnobFlags(t *testing.T) {
 		Admission *struct {
 			MaxInFlight int `json:"maxInFlight"`
 		} `json:"admission"`
-		Batching *struct {
-			BatchSize int `json:"batchSize"`
-		} `json:"batching"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
@@ -406,15 +403,9 @@ func TestServingKnobFlags(t *testing.T) {
 	if h.Admission == nil || h.Admission.MaxInFlight != 1 {
 		t.Errorf("healthz admission = %+v, want maxInFlight 1", h.Admission)
 	}
-	if h.Batching == nil || h.Batching.BatchSize != 8 {
-		t.Errorf("healthz batching = %+v, want batchSize 8", h.Batching)
-	}
 
 	if _, err := parseFlags([]string{"-in", "x.dat", "-max-inflight", "-1"}); err == nil {
 		t.Error("negative -max-inflight accepted")
-	}
-	if _, err := parseFlags([]string{"-in", "x.dat", "-batch", "-1"}); err == nil {
-		t.Error("negative -batch accepted")
 	}
 }
 

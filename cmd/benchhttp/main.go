@@ -6,14 +6,14 @@
 // Usage:
 //
 //	benchhttp -c 16 -duration 3s -out /tmp/serving.json
-//	benchhttp -c 64 -batch 32 -batch-wait 2ms -max-inflight 32 -append -out BENCH_serving.json
+//	benchhttp -c 64 -max-inflight 32 -append -out BENCH_serving.json
 //
 // It mines a QUEST-style T10I4 dataset once, serves it through a real
 // server.Server on a loopback listener, and drives the configured
 // endpoints with closed-loop workers for the configured duration.
 // Every (endpoint × concurrency) cell records p50/p99 latency of
 // admitted responses, total RPS, and the 200/429/failed split — so a
-// batching-on run and a batching-off run are directly comparable, and
+// gated run and an ungated run are directly comparable, and
 // admission-control sheds are first-class numbers instead of noise.
 // The emitted file is re-read and validated before the command exits
 // 0; malformed output is a non-zero exit (the CI smoke contract).
@@ -60,8 +60,6 @@ type config struct {
 	endpoints   []string
 	k           int
 	baskets     int
-	batch       int
-	batchWait   time.Duration
 	maxInflight int
 	label       string
 	out         string
@@ -80,9 +78,7 @@ func parseFlags(args []string) (*config, error) {
 		warmup      = fs.Duration("warmup", 0, "untimed warmup before each cell (default duration/5, capped at 500ms)")
 		endpoints   = fs.String("endpoints", "recommend,support", "comma-separated endpoints to drive (recommend, support)")
 		k           = fs.Int("k", 5, "recommend ranking size")
-		baskets     = fs.Int("baskets", 64, "distinct request basket pool size (smaller = warmer cache, more coalescing)")
-		batch       = fs.Int("batch", 0, "recommend batch size (0 = batching off)")
-		batchWait   = fs.Duration("batch-wait", 0, "batch max wait (0 = server default)")
+		baskets     = fs.Int("baskets", 64, "distinct request basket pool size (smaller = warmer cache)")
 		maxInflight = fs.Int("max-inflight", 0, "per-endpoint admission cap (0 = admission off)")
 		label       = fs.String("label", "", "run label recorded in the report (default: knobs + date)")
 		out         = fs.String("out", "BENCH_serving.json", "output report path")
@@ -95,8 +91,7 @@ func parseFlags(args []string) (*config, error) {
 	cfg := &config{
 		scale: *scale, minsup: *minsup, minconf: *minconf,
 		concurrency: *concurrency, duration: *duration, warmup: *warmup,
-		k: *k, baskets: *baskets,
-		batch: *batch, batchWait: *batchWait, maxInflight: *maxInflight,
+		k: *k, baskets: *baskets, maxInflight: *maxInflight,
 		label: *label, out: *out, appendRun: *appendF, tenants: *tenants,
 	}
 	if cfg.concurrency < 1 {
@@ -135,8 +130,8 @@ func parseFlags(args []string) (*config, error) {
 	}
 	if cfg.label == "" {
 		mode := "plain"
-		if cfg.batch > 0 || cfg.maxInflight > 0 {
-			mode = fmt.Sprintf("batch=%d inflight=%d", cfg.batch, cfg.maxInflight)
+		if cfg.maxInflight > 0 {
+			mode = fmt.Sprintf("inflight=%d", cfg.maxInflight)
 		}
 		if cfg.tenants > 0 {
 			mode += fmt.Sprintf(" tenants=%d", cfg.tenants)
@@ -178,8 +173,6 @@ func buildServer(ctx context.Context, cfg *config) (*server.Server, string, erro
 	}
 	srv, err := server.New(qs, server.Config{
 		MaxInFlight:  cfg.maxInflight,
-		BatchSize:    cfg.batch,
-		BatchMaxWait: cfg.batchWait,
 		MaxRecommend: cfg.k,
 		MultiTenant:  cfg.tenants > 0,
 	})
@@ -452,8 +445,8 @@ func run(args []string, w io.Writer) error {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ctx, ln) }()
 	baseURL := "http://" + ln.Addr().String()
-	fmt.Fprintf(w, "benchhttp: serving %s on %s (batch=%d wait=%s max-inflight=%d)\n",
-		workload, baseURL, cfg.batch, cfg.batchWait, cfg.maxInflight)
+	fmt.Fprintf(w, "benchhttp: serving %s on %s (max-inflight=%d)\n",
+		workload, baseURL, cfg.maxInflight)
 
 	var tenantIDs []string
 	if cfg.tenants > 0 {
@@ -472,18 +465,9 @@ func run(args []string, w io.Writer) error {
 		Workload:    workload,
 		MinSup:      cfg.minsup,
 		MinConf:     cfg.minconf,
-		Batching:    cfg.batch > 0,
 		MaxInFlight: cfg.maxInflight,
 		Baskets:     cfg.baskets,
 		Tenants:     cfg.tenants,
-	}
-	if cfg.batch > 0 {
-		newRun.BatchSize = cfg.batch
-		wait := cfg.batchWait
-		if wait <= 0 {
-			wait = server.DefaultBatchMaxWait
-		}
-		newRun.BatchWaitUs = wait.Microseconds()
 	}
 	// Endpoint order is deterministic, and cells run back to back so
 	// each one gets the whole machine.

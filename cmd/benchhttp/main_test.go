@@ -58,7 +58,7 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// TestRunAppendAndKnobs appends a batching+admission run to an existing
+// TestRunAppendAndKnobs appends an admission-gated run to an existing
 // report and checks both runs survive with their knobs recorded.
 func TestRunAppendAndKnobs(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "serving.json")
@@ -69,8 +69,7 @@ func TestRunAppendAndKnobs(t *testing.T) {
 	if err := run(append(base, "-label", "off"), new(bytes.Buffer)); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	withKnobs := append(base, "-label", "on", "-append",
-		"-batch", "8", "-batch-wait", "1ms", "-max-inflight", "4")
+	withKnobs := append(base, "-label", "on", "-append", "-max-inflight", "4")
 	if err := run(withKnobs, new(bytes.Buffer)); err != nil {
 		t.Fatalf("append run: %v", err)
 	}
@@ -86,11 +85,11 @@ func TestRunAppendAndKnobs(t *testing.T) {
 	if len(rep.Runs) != 2 {
 		t.Fatalf("got %d runs after append, want 2", len(rep.Runs))
 	}
-	if rep.Runs[0].Label != "off" || rep.Runs[0].Batching {
+	if rep.Runs[0].Label != "off" || rep.Runs[0].MaxInFlight != 0 {
 		t.Errorf("baseline run mangled: %+v", rep.Runs[0])
 	}
 	on := rep.Runs[1]
-	if on.Label != "on" || !on.Batching || on.BatchSize != 8 || on.MaxInFlight != 4 || on.BatchWaitUs != 1000 {
+	if on.Label != "on" || on.MaxInFlight != 4 {
 		t.Errorf("knob run mangled: %+v", on)
 	}
 }

@@ -445,19 +445,13 @@ func (qs *QueryService) RecommendWithN(ctx context.Context, observed Itemset, k 
 		return nil, 0, fmt.Errorf("closedrules: Recommend k %d < 1", k)
 	}
 	st := qs.st.Load()
-	return qs.recommendFrom(st, observed, k), st.numTx, nil
-}
-
-// recommendFrom answers one recommendation from one pinned snapshot,
-// through its cache. The returned slice is the caller's to keep.
-func (qs *QueryService) recommendFrom(st *serviceState, observed Itemset, k int) []Rule {
 	key := observed.Key() + "#" + strconv.Itoa(k)
 	if cached, hit := st.recCache.get(key); hit {
 		qs.cacheHits.Add(1)
 		st.cacheHits.Add(1)
 		// Hand out a copy: a caller re-sorting its result must not
 		// corrupt the ranking served to the next cache hit.
-		return append([]Rule(nil), cached...)
+		return append([]Rule(nil), cached...), st.numTx, nil
 	}
 	qs.cacheMisses.Add(1)
 	st.cacheMisses.Add(1)
@@ -472,58 +466,5 @@ func (qs *QueryService) recommendFrom(st *serviceState, observed Itemset, k int)
 	// the old snapshot's stripes is still correct (they are keyed to
 	// that snapshot and become garbage with it).
 	st.recCache.put(key, top)
-	return append([]Rule(nil), top...)
-}
-
-// RecommendRequest is one item of a batched recommendation read (see
-// RecommendBatch): the observed basket and the ranking size k, the
-// same parameters Recommend takes.
-type RecommendRequest struct {
-	Observed Itemset
-	K        int
-}
-
-// RecommendBatchResult is one item's answer from RecommendBatch:
-// either a ranking or that item's validation error.
-type RecommendBatchResult struct {
-	Rules []Rule
-	Err   error
-}
-
-// RecommendBatch answers many recommendation requests from a single
-// snapshot load — the batch-aware read the serving layer's request
-// coalescer flushes into. Every request in the batch is answered from
-// the same snapshot (one atomic pointer load for the whole batch, and
-// one consistent numTx for lift), and requests sharing an (observed,
-// k) key within the batch are computed once. A request with an
-// invalid k fails individually through its RecommendBatchResult.Err;
-// only a context error fails the whole batch. Returned slices are the
-// caller's to keep.
-func (qs *QueryService) RecommendBatch(ctx context.Context, reqs []RecommendRequest) ([]RecommendBatchResult, int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	st := qs.st.Load()
-	out := make([]RecommendBatchResult, len(reqs))
-	// computed memoizes this batch's rankings by key so duplicates hit
-	// at most the snapshot cache once and the rule walk never repeats.
-	computed := make(map[string][]Rule, len(reqs))
-	for i, req := range reqs {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		if req.K <= 0 {
-			out[i].Err = fmt.Errorf("closedrules: Recommend k %d < 1", req.K)
-			continue
-		}
-		key := req.Observed.Key() + "#" + strconv.Itoa(req.K)
-		if prev, ok := computed[key]; ok {
-			out[i].Rules = append([]Rule(nil), prev...)
-			continue
-		}
-		recs := qs.recommendFrom(st, req.Observed, req.K)
-		computed[key] = recs
-		out[i].Rules = recs
-	}
-	return out, st.numTx, nil
+	return append([]Rule(nil), top...), st.numTx, nil
 }

@@ -433,67 +433,6 @@ func TestSnapshotCacheCounters(t *testing.T) {
 	}
 }
 
-func TestRecommendBatch(t *testing.T) {
-	qs := classicService(t)
-	ctx := context.Background()
-	want, err := qs.Recommend(ctx, Items(1), 5)
-	if err != nil || len(want) == 0 {
-		t.Fatalf("Recommend = %v, %v", want, err)
-	}
-	missesBefore := qs.Stats().SnapshotCacheMisses
-
-	reqs := []RecommendRequest{
-		{Observed: Items(1), K: 5},  // duplicate of the warmed key
-		{Observed: Items(1), K: 5},  // coalesces with the previous item
-		{Observed: Items(2), K: 3},  // fresh key: one miss
-		{Observed: Items(1), K: -1}, // invalid k: per-item error
-	}
-	out, numTx, err := qs.RecommendBatch(ctx, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if numTx != qs.NumTransactions() {
-		t.Errorf("numTx = %d, want %d", numTx, qs.NumTransactions())
-	}
-	if len(out) != len(reqs) {
-		t.Fatalf("got %d results for %d requests", len(out), len(reqs))
-	}
-	for i := 0; i < 2; i++ {
-		if out[i].Err != nil || len(out[i].Rules) != len(want) {
-			t.Errorf("result %d = %v, %v; want %d rules", i, out[i].Rules, out[i].Err, len(want))
-		}
-		for j := range want {
-			if out[i].Rules[j].Key() != want[j].Key() {
-				t.Errorf("result %d rule %d = %v, want %v", i, j, out[i].Rules[j], want[j])
-			}
-		}
-	}
-	if out[2].Err != nil {
-		t.Errorf("result 2 err = %v", out[2].Err)
-	}
-	if out[3].Err == nil {
-		t.Error("invalid k accepted in batch")
-	}
-	// The duplicate pair cost at most one lookup; {C} cost one miss.
-	if got := qs.Stats().SnapshotCacheMisses - missesBefore; got != 1 {
-		t.Errorf("batch added %d misses, want 1 (duplicates coalesce, warm key hits)", got)
-	}
-	// Fanned-out duplicates must be independent slices.
-	out[0].Rules[0] = Rule{}
-	if out[1].Rules[0].Key() != want[0].Key() {
-		t.Error("duplicate batch items share a rules slice")
-	}
-}
-
-func TestRecommendBatchCancelled(t *testing.T) {
-	qs := classicService(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := qs.RecommendBatch(ctx, []RecommendRequest{{Observed: Items(1), K: 3}}); !errors.Is(err, context.Canceled) {
-		t.Errorf("RecommendBatch err = %v, want context.Canceled", err)
-	}
-}
-
 func TestMemoryEstimate(t *testing.T) {
 	qs := classicService(t)
 	base := qs.MemoryEstimate()

@@ -5,10 +5,50 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 )
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, within time.Duration, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !cond() {
+		t.Fatal("condition never held")
+	}
+}
+
+// holdingServer serves s's routes, except that POST /recommend — still
+// instrumented and behind the recommend admission gate — holds its
+// slot until release is called, then answers through the real
+// recommend handler. It is how the admission tests keep slots occupied
+// deterministically. release is idempotent and also runs at cleanup,
+// before the test server closes.
+func holdingServer(t *testing.T, s *Server) (ts *httptest.Server, release func()) {
+	t.Helper()
+	held := make(chan struct{})
+	release = sync.OnceFunc(func() { close(held) })
+	recommend := s.query(s.serveRecommend)
+	mux := http.NewServeMux()
+	mux.Handle("/", s.Handler())
+	mux.HandleFunc("POST /recommend", s.instrument("recommend", s.admit(s.limiters["recommend"],
+		func(w http.ResponseWriter, r *http.Request) {
+			<-held
+			recommend(w, r)
+		})))
+	ts = httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	t.Cleanup(release)
+	return ts, release
+}
 
 // getBody fetches a URL and returns its body, failing on any error.
 func getBody(t *testing.T, url string) string {
@@ -44,21 +84,16 @@ func postRecommend(ts string, body string) int {
 // must observe a mix of 200s and fast 429s, every request must get a
 // response (zero 5xx, zero transport drops), admitted-request latency
 // must stay bounded, and the in-flight gauges must return to zero
-// once the burst drains. Batching with a long max-wait pins admitted
-// requests in flight so the overload window is deterministic.
+// once the burst drains. Admitted requests hold their slots until
+// every other client has been shed, so the overload window is
+// deterministic.
 func TestAdmissionShedsUnderOverload(t *testing.T) {
-	const holdTime = 150 * time.Millisecond
+	const shedBound = 150 * time.Millisecond // slowest acceptable 429
 	for _, limit := range []int{2, 4, 8} {
 		limit := limit
 		t.Run(fmt.Sprintf("maxInFlight=%d", limit), func(t *testing.T) {
-			s, ts := newTestServer(t, Config{
-				MaxInFlight: limit,
-				// A batch bigger than the burst + a long max-wait keeps
-				// every admitted request holding its slot for holdTime.
-				BatchSize:    4 * limit,
-				BatchMaxWait: holdTime,
-			})
-			t.Cleanup(s.Close)
+			s, _ := newTestServer(t, Config{MaxInFlight: limit})
+			ts, release := holdingServer(t, s)
 
 			clients := 2 * limit
 			start := make(chan struct{})
@@ -76,6 +111,10 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 				}(i)
 			}
 			close(start)
+			waitFor(t, 5*time.Second, func() bool {
+				return s.limiters["recommend"].shedCount() == uint64(clients-limit)
+			})
+			release()
 			wg.Wait()
 
 			var ok, shed int
@@ -89,8 +128,8 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 				case http.StatusTooManyRequests:
 					shed++
 					// Shedding must be fast — that is its entire point.
-					if lat[i] > holdTime {
-						t.Errorf("shed request %d took %v, want well under %v", i, lat[i], holdTime)
+					if lat[i] > shedBound {
+						t.Errorf("shed request %d took %v, want well under %v", i, lat[i], shedBound)
 					}
 				default:
 					t.Errorf("request %d got status %d, want 200 or 429 (0 means dropped)", i, code)
@@ -118,16 +157,12 @@ func TestAdmissionShedsUnderOverload(t *testing.T) {
 
 // TestAdmissionRetryAfterAndHealthz pins the 429 wire contract
 // (Retry-After header + JSON error body) and the healthz admission
-// block: shed and in-flight counts surface per endpoint, and queue
-// depths read zero after drain.
+// block: shed and in-flight counts surface per endpoint, and in-flight
+// counts read zero after drain.
 func TestAdmissionRetryAfterAndHealthz(t *testing.T) {
 	const limit = 1
-	s, ts := newTestServer(t, Config{
-		MaxInFlight:  limit,
-		BatchSize:    8,
-		BatchMaxWait: 150 * time.Millisecond,
-	})
-	t.Cleanup(s.Close)
+	s, _ := newTestServer(t, Config{MaxInFlight: limit})
+	ts, release := holdingServer(t, s)
 
 	// Occupy the single slot, then overflow it.
 	occupied := make(chan int, 1)
@@ -149,6 +184,7 @@ func TestAdmissionRetryAfterAndHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 		t.Errorf("429 body = %+v, %v; want a JSON error", e, err)
 	}
+	release()
 	if got := <-occupied; got != http.StatusOK {
 		t.Fatalf("slot-holding request got %d, want 200", got)
 	}
@@ -170,11 +206,6 @@ func TestAdmissionRetryAfterAndHealthz(t *testing.T) {
 			t.Errorf("healthz inFlight[%s] = %d after drain, want 0", e, n)
 		}
 	}
-	if h.Batching == nil {
-		t.Fatal("healthz has no batching block")
-	} else if h.Batching.QueueDepth != 0 {
-		t.Errorf("healthz batching queueDepth = %d after drain, want 0", h.Batching.QueueDepth)
-	}
 
 	// The Prometheus families agree.
 	body := getBody(t, ts.URL+"/metrics")
@@ -182,7 +213,6 @@ func TestAdmissionRetryAfterAndHealthz(t *testing.T) {
 		`closedrules_http_shed_total{endpoint="recommend"} 1`,
 		`closedrules_http_inflight{endpoint="recommend"} 0`,
 		"closedrules_http_max_inflight 1",
-		"closedrules_batch_queue_depth 0",
 	} {
 		if !bytes.Contains([]byte(body), []byte(want)) {
 			t.Errorf("metrics missing %q", want)
@@ -193,12 +223,8 @@ func TestAdmissionRetryAfterAndHealthz(t *testing.T) {
 // TestAdmissionDoesNotGateObservability pins that healthz and metrics
 // stay reachable while every query slot is taken.
 func TestAdmissionDoesNotGateObservability(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		MaxInFlight:  1,
-		BatchSize:    8,
-		BatchMaxWait: 150 * time.Millisecond,
-	})
-	t.Cleanup(s.Close)
+	s, _ := newTestServer(t, Config{MaxInFlight: 1})
+	ts, release := holdingServer(t, s)
 	done := make(chan int, 1)
 	go func() { done <- postRecommend(ts.URL, `{"observed":[1],"k":3}`) }()
 	waitFor(t, 5*time.Second, func() bool { return s.limiters["recommend"].inFlight() == 1 })
@@ -207,6 +233,7 @@ func TestAdmissionDoesNotGateObservability(t *testing.T) {
 	if body := getBody(t, ts.URL+"/metrics"); body == "" {
 		t.Error("metrics unreachable under full query gates")
 	}
+	release()
 	if got := <-done; got != http.StatusOK {
 		t.Fatalf("gated request got %d", got)
 	}

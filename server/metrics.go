@@ -168,26 +168,3 @@ func writeAdmission(w io.Writer, maxInFlight int, endpoints []string, limiters m
 		fmt.Fprintf(w, "closedrules_http_inflight{endpoint=%q} %d\n", e, limiters[e].inFlight())
 	}
 }
-
-// writeBatcher renders the recommend batcher families. Only called
-// when batching is enabled.
-func writeBatcher(w io.Writer, b *recommendBatcher) {
-	fmt.Fprintf(w, "# HELP closedrules_batch_flushes_total Recommend batches flushed.\n")
-	fmt.Fprintf(w, "# TYPE closedrules_batch_flushes_total counter\n")
-	fmt.Fprintf(w, "closedrules_batch_flushes_total %d\n", b.stats.flushes.Load())
-	fmt.Fprintf(w, "# HELP closedrules_batch_items_total Recommend requests that went through the batcher.\n")
-	fmt.Fprintf(w, "# TYPE closedrules_batch_items_total counter\n")
-	fmt.Fprintf(w, "closedrules_batch_items_total %d\n", b.stats.items.Load())
-	fmt.Fprintf(w, "# HELP closedrules_batch_coalesced_total Batched requests answered by another request's lookup.\n")
-	fmt.Fprintf(w, "# TYPE closedrules_batch_coalesced_total counter\n")
-	fmt.Fprintf(w, "closedrules_batch_coalesced_total %d\n", b.stats.coalesced.Load())
-	fmt.Fprintf(w, "# HELP closedrules_batch_stop_errors_total Batched requests errored by shutdown drain.\n")
-	fmt.Fprintf(w, "# TYPE closedrules_batch_stop_errors_total counter\n")
-	fmt.Fprintf(w, "closedrules_batch_stop_errors_total %d\n", b.stats.stopErrors.Load())
-	fmt.Fprintf(w, "# HELP closedrules_batch_wait_seconds_total Cumulative per-item wait between enqueue and flush.\n")
-	fmt.Fprintf(w, "# TYPE closedrules_batch_wait_seconds_total counter\n")
-	fmt.Fprintf(w, "closedrules_batch_wait_seconds_total %.9f\n", float64(b.stats.queueWaitNanos.Load())/1e9)
-	fmt.Fprintf(w, "# HELP closedrules_batch_queue_depth Recommend requests accepted but not yet collected into a batch.\n")
-	fmt.Fprintf(w, "# TYPE closedrules_batch_queue_depth gauge\n")
-	fmt.Fprintf(w, "closedrules_batch_queue_depth %d\n", b.queueDepth())
-}

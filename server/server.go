@@ -15,14 +15,18 @@
 //	GET  /bases                        registered bases + the served pair
 //	GET  /healthz                      liveness + serving snapshot summary
 //	GET  /metrics                      Prometheus text format
-//	POST /admin/reload                 re-mine and Swap (Config.Refresher or Config.Reload)
+//	POST /admin/reload                 one forced Config.Refresher cycle
+//
+// In multi-tenant mode (Config.MultiTenant) every query verb is also
+// served at /datasets/{id}/X by the same handler; the legacy /X routes
+// answer from the pinned "default" tenant.
 //
 // When Config.Refresher is set (see the refresh package), the server
 // becomes the observation surface of a continuously self-updating
 // service: /healthz and /metrics report the refresher's cycle
 // counters and POST /admin/reload runs one forced refresh cycle,
 // sharing the background loop's single-flight guard (a concurrent
-// cycle answers 409).
+// cycle answers 409). Without a Refresher, /admin/reload answers 501.
 //
 // Queries run under a per-request deadline (Config.RequestTimeout)
 // wired into the library's context plumbing; a deadline that expires
@@ -32,18 +36,13 @@
 // to Serve or ListenAndServe and in-flight requests get
 // Config.ShutdownGrace to finish.
 //
-// Two serving hot-path controls harden the server under heavy
-// traffic. Admission control (Config.MaxInFlight) puts a fixed pool
-// of in-flight slots in front of every query endpoint: a request
-// over the cap is shed immediately with 429 Too Many Requests and a
-// Retry-After hint instead of queueing into collapse, and the shed
-// and in-flight counts surface in /metrics and /healthz. Request
-// coalescing (Config.BatchSize, Config.BatchMaxWait) batches
-// concurrent POST /recommend calls into single snapshot reads —
-// identical baskets in a batch share one lookup — which is exactly
-// the access pattern the paper's condensed representation makes
-// cheap. cmd/benchhttp load-tests both knobs and tracks the results
-// in BENCH_serving.json.
+// Admission control (Config.MaxInFlight) hardens the server under
+// heavy traffic: it puts a fixed pool of in-flight slots in front of
+// every gated query endpoint, a request over the cap is shed
+// immediately with 429 Too Many Requests and a Retry-After hint
+// instead of queueing into collapse, and the shed and in-flight counts
+// surface in /metrics and /healthz. cmd/benchhttp load-tests it and
+// tracks the results in BENCH_serving.json.
 package server
 
 import (
@@ -82,32 +81,23 @@ const (
 // maxBodyBytes bounds request bodies; recommend observations are tiny.
 const maxBodyBytes = 1 << 20
 
-// ReloadFunc produces a freshly mined Result for the hot-reload path
-// (POST /admin/reload). It must honor the context's deadline; the
-// server Swaps the result in on success.
-type ReloadFunc func(ctx context.Context) (*closedrules.Result, error)
-
 // Config tunes a Server. The zero value is usable: every field has a
-// default applied by New, and a nil Reload simply disables the
+// default applied by New, and a nil Refresher simply disables the
 // /admin/reload endpoint (it answers 501).
 type Config struct {
 	// RequestTimeout is the per-query deadline. 0 means
-	// DefaultRequestTimeout; negative disables the deadline.
+	// DefaultRequestTimeout; negative disables the deadline. It is one
+	// deadline per request: on a /datasets/{id} route it covers both
+	// resolving the tenant (including the wait for a re-mine of an
+	// evicted one) and answering the query.
 	RequestTimeout time.Duration
-	// ReloadTimeout is the deadline for a Reload call. 0 means no
-	// deadline (mining time is workload-dependent).
-	ReloadTimeout time.Duration
 	// ShutdownGrace is how long in-flight requests may finish after
 	// the serve context is cancelled. 0 means DefaultShutdownGrace.
 	ShutdownGrace time.Duration
 	// MaxRecommend caps the k of a recommend request; larger values
 	// are clamped. 0 means DefaultMaxRecommend.
 	MaxRecommend int
-	// Reload, when set, enables POST /admin/reload: it is called to
-	// re-mine and the result is hot-swapped into the service. Ignored
-	// when Refresher is set.
-	Reload ReloadFunc
-	// Refresher, when set, takes over the data-freshness surface:
+	// Refresher, when set, enables the data-freshness surface:
 	// POST /admin/reload delegates to Refresher.Refresh (the same
 	// cycle logic the background poll loop runs, so manual and
 	// automatic reloads share single-flight and stats), and /healthz
@@ -123,17 +113,6 @@ type Config struct {
 	// (closedrules_http_shed_total) and /healthz. 0 disables
 	// admission control. Observability endpoints are never gated.
 	MaxInFlight int
-	// BatchSize enables recommend batching: concurrent POST
-	// /recommend calls are coalesced by a collector goroutine into
-	// single snapshot reads, flushed when BatchSize items are waiting
-	// or the oldest has waited BatchMaxWait. Identical (observed, k)
-	// requests in a flush share one lookup. 0 serves each request
-	// individually.
-	BatchSize int
-	// BatchMaxWait bounds how long an under-filled batch may hold its
-	// first request. 0 means DefaultBatchMaxWait. Only meaningful
-	// with BatchSize > 0.
-	BatchMaxWait time.Duration
 	// MultiTenant turns the server into a mining service: the dataset
 	// registry routes (POST/GET /datasets, DELETE /datasets/{id}),
 	// async mine jobs (POST /datasets/{id}/mine, GET /jobs/{id}) and
@@ -141,7 +120,7 @@ type Config struct {
 	// rules|bases, POST /datasets/{id}/recommend) are mounted, backed
 	// by a tenant pool with LRU eviction under TenantMemoryBudget. The
 	// legacy single-dataset routes stay up, served by a pinned
-	// "default" tenant wrapping the qs passed to New.
+	// "default" tenant that is the qs passed to New.
 	MultiTenant bool
 	// MaxTenants caps registered datasets in multi-tenant mode. 0
 	// means DefaultMaxTenants; negative is a validation error.
@@ -184,9 +163,6 @@ func (c *Config) validate() error {
 	if c.ShutdownGrace == 0 {
 		c.ShutdownGrace = DefaultShutdownGrace
 	}
-	if c.ReloadTimeout < 0 {
-		return fmt.Errorf("server: negative ReloadTimeout %v", c.ReloadTimeout)
-	}
 	if c.MaxRecommend < 0 {
 		return fmt.Errorf("server: negative MaxRecommend %d", c.MaxRecommend)
 	}
@@ -195,12 +171,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaxInFlight < 0 {
 		return fmt.Errorf("server: negative MaxInFlight %d", c.MaxInFlight)
-	}
-	if c.BatchSize < 0 {
-		return fmt.Errorf("server: negative BatchSize %d", c.BatchSize)
-	}
-	if c.BatchMaxWait < 0 {
-		return fmt.Errorf("server: negative BatchMaxWait %v", c.BatchMaxWait)
 	}
 	if c.MaxTenants < 0 {
 		return fmt.Errorf("server: negative MaxTenants %d", c.MaxTenants)
@@ -242,9 +212,9 @@ func (c *Config) validate() error {
 
 // Server serves a QueryService over HTTP. Create one with New; it is
 // safe for concurrent use and a single instance handles all traffic.
-// A Server with batching enabled owns a collector goroutine: Serve
-// and ListenAndServe release it on shutdown, while Handler-only users
-// (tests mounting the mux) should call Close themselves.
+// A multi-tenant Server owns a tenant pool and its mine workers: Serve
+// and ListenAndServe release them on shutdown, while Handler-only
+// users (tests mounting the mux) should call Close themselves.
 type Server struct {
 	qs        *closedrules.QueryService
 	cfg       Config
@@ -252,9 +222,7 @@ type Server struct {
 	pool      *tenant.Pool   // nil unless Config.MultiTenant
 	tmetrics  *tenantMetrics // nil unless Config.MultiTenant
 	handler   http.Handler
-	reloadMu  sync.Mutex
 	limiters  map[string]*limiter // per-endpoint admission gates (nil entries when disabled)
-	batcher   *recommendBatcher   // nil when batching is disabled
 	closeOnce sync.Once
 }
 
@@ -272,6 +240,10 @@ var endpointNames = []string{
 // so the cap bounds total load per verb across all tenants.
 var queryEndpoints = []string{"support", "confidence", "rules", "recommend"}
 
+// queryFunc is one query verb's core: it answers r from qs under ctx,
+// the request's single deadline, writing parameter errors itself.
+type queryFunc func(ctx context.Context, qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request)
+
 // New builds a Server around the service, validating and defaulting
 // the Config (see Config.validate). With Config.MultiTenant the qs
 // becomes the pinned "default" tenant of a tenant pool and the
@@ -288,24 +260,6 @@ func New(qs *closedrules.QueryService, cfg Config) (*Server, error) {
 			s.limiters[e] = newLimiter(cfg.MaxInFlight)
 		}
 	}
-	if cfg.BatchSize > 0 {
-		// The flush deadline mirrors the per-request deadline: a batch
-		// is one request's worth of work shared by many.
-		flushTimeout := cfg.RequestTimeout
-		if flushTimeout < 0 {
-			flushTimeout = 0
-		}
-		s.batcher = newRecommendBatcher(qs.RecommendBatch, cfg.BatchSize, cfg.BatchMaxWait, flushTimeout)
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /support", s.instrument("support", s.admit(s.limiters["support"], s.handleSupport)))
-	mux.HandleFunc("GET /confidence", s.instrument("confidence", s.admit(s.limiters["confidence"], s.handleConfidence)))
-	mux.HandleFunc("GET /rules", s.instrument("rules", s.admit(s.limiters["rules"], s.handleRules)))
-	mux.HandleFunc("POST /recommend", s.instrument("recommend", s.admit(s.limiters["recommend"], s.handleRecommend)))
-	mux.HandleFunc("GET /bases", s.instrument("bases", s.handleBases))
-	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("POST /admin/reload", s.instrument("reload", s.handleReload))
 	if cfg.MultiTenant {
 		pool, err := tenant.NewPool(tenant.Config{
 			MaxTenants:   cfg.MaxTenants,
@@ -318,7 +272,8 @@ func New(qs *closedrules.QueryService, cfg Config) (*Server, error) {
 		}
 		// The qs handed to New becomes the pinned default tenant: the
 		// legacy routes and /datasets/default serve the same snapshots,
-		// and being pinned it is never evicted or deletable.
+		// and being pinned it is never evicted or deletable. It has no
+		// source, so mine jobs on it fail with ErrNoSource.
 		if _, err := pool.Register(tenant.Spec{
 			ID:      DefaultTenantID,
 			Pinned:  true,
@@ -330,23 +285,43 @@ func New(qs *closedrules.QueryService, cfg Config) (*Server, error) {
 		}
 		s.pool = pool
 		s.tmetrics = newTenantMetrics()
+	}
+	mux := http.NewServeMux()
+	// One handler per query verb, mounted at /name and, in multi-tenant
+	// mode, at /datasets/{id}/name; query picks the service from the
+	// path. bases has no admission gate (its limiter entry is nil).
+	for _, rt := range []struct {
+		method, name string
+		serve        queryFunc
+	}{
+		{"GET", "support", s.serveSupport},
+		{"GET", "confidence", s.serveConfidence},
+		{"GET", "rules", s.serveRules},
+		{"POST", "recommend", s.serveRecommend},
+		{"GET", "bases", s.serveBases},
+	} {
+		h := s.instrument(rt.name, s.admit(s.limiters[rt.name], s.query(rt.serve)))
+		mux.HandleFunc(rt.method+" /"+rt.name, h)
+		if s.pool != nil {
+			mux.HandleFunc(rt.method+" /datasets/{id}/"+rt.name, h)
+		}
+	}
+	mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
+	mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	mux.HandleFunc("POST /admin/reload", s.instrument("reload", s.handleReload))
+	if s.pool != nil {
 		s.registerTenantRoutes(mux)
 	}
 	s.handler = mux
 	return s, nil
 }
 
-// Close releases the server's background resources: the recommend
-// batcher's collector goroutine (queued recommend calls are errored
-// with 503 rather than left hanging) and, in multi-tenant mode, the
-// tenant pool's mine workers and per-tenant refreshers. Serve and
-// ListenAndServe call it on the way out; Handler-only users should
-// call it when done. Safe to call more than once.
+// Close releases the server's background resources: in multi-tenant
+// mode, the tenant pool's mine workers and per-tenant refreshers.
+// Serve and ListenAndServe call it on the way out; Handler-only users
+// should call it when done. Safe to call more than once.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		if s.batcher != nil {
-			s.batcher.Stop()
-		}
 		if s.pool != nil {
 			s.pool.Close()
 		}
@@ -394,13 +369,23 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // instrument wraps a handler with per-endpoint request, error and
-// latency accounting.
+// latency accounting. A request on a /datasets/{id} query route is
+// also counted under its tenant label, but only for an ID actually in
+// the registry: keying off the response status is not enough, because
+// admission-control 429s fire before tenant resolution, so a scanner
+// probing random IDs during overload would otherwise mint unbounded
+// metric series. Only the query routes name their wildcard {id}; the
+// registry and job routes use {dataset} and {job}, so their traffic
+// is never tenant-labelled.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h(rec, r)
 		s.metrics.observe(name, rec.code, time.Since(start))
+		if id := r.PathValue("id"); id != "" && s.pool.Has(id) {
+			s.tmetrics.observe(id, name, rec.code)
+		}
 	}
 }
 
@@ -415,12 +400,30 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// queryCtx derives the per-request query deadline.
-func (s *Server) queryCtx(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.cfg.RequestTimeout < 0 {
-		return r.Context(), func() {}
+// query turns a verb's core into its route handler. It derives the
+// request's one deadline, resolves the service to answer from — s.qs
+// on a legacy route, the {id} tenant through the pool otherwise,
+// re-mining an evicted tenant within that same deadline — and runs the
+// verb. A timed-out wait for a shared re-mine leaves the mine running
+// for later callers.
+func (s *Server) query(serve queryFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx := r.Context()
+		if s.cfg.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			defer cancel()
+		}
+		qs := s.qs
+		if id := r.PathValue("id"); id != "" {
+			var err error
+			if qs, err = s.pool.Service(ctx, id); err != nil {
+				writeTenantError(w, err)
+				return
+			}
+		}
+		serve(ctx, qs, w, r)
 	}
-	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -456,8 +459,6 @@ func writeQueryError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusServiceUnavailable, "query deadline exceeded")
 	case errors.Is(err, context.Canceled):
 		writeError(w, statusClientClosedRequest, "client closed request")
-	case errors.Is(err, errBatcherStopped):
-		writeError(w, http.StatusServiceUnavailable, "server shutting down")
 	default:
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 	}
@@ -534,19 +535,11 @@ type supportJSON struct {
 	Frequent bool  `json:"frequent"`
 }
 
-func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
-	s.serveSupport(s.qs, w, r)
-}
-
-// serveSupport is the qs-parametric core shared by the legacy route
-// and /datasets/{id}/support.
-func (s *Server) serveSupport(qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveSupport(ctx context.Context, qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
 	items, ok := itemsParam(w, r, "items")
 	if !ok {
 		return
 	}
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
 	sup, frequent, err := qs.Support(ctx, items)
 	if err != nil {
 		writeQueryError(w, err)
@@ -561,11 +554,7 @@ type confidenceJSON struct {
 	Confidence float64 `json:"confidence"`
 }
 
-func (s *Server) handleConfidence(w http.ResponseWriter, r *http.Request) {
-	s.serveConfidence(s.qs, w, r)
-}
-
-func (s *Server) serveConfidence(qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveConfidence(ctx context.Context, qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
 	ant, ok := itemsParam(w, r, "antecedent")
 	if !ok {
 		return
@@ -574,8 +563,6 @@ func (s *Server) serveConfidence(qs *closedrules.QueryService, w http.ResponseWr
 	if !ok {
 		return
 	}
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
 	conf, err := qs.Confidence(ctx, ant, cons)
 	if err != nil {
 		writeQueryError(w, err)
@@ -599,7 +586,7 @@ type basisRulesJSON struct {
 // serveBasisRules answers /rules?basis=NAME[&minconf=C]: the complete
 // rule list of the named basis, built from the served snapshot.
 // minconf defaults to the service's confidence threshold.
-func (s *Server) serveBasisRules(qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveBasisRules(ctx context.Context, qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("basis")
 	if _, err := closedrules.LookupBasis(name); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -616,8 +603,6 @@ func (s *Server) serveBasisRules(qs *closedrules.QueryService, w http.ResponseWr
 		}
 		minConf = c
 	}
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
 	rs, numTx, err := qs.BasisRulesWithN(ctx, name, minConf)
 	if err != nil {
 		writeQueryError(w, err)
@@ -635,13 +620,9 @@ func (s *Server) serveBasisRules(qs *closedrules.QueryService, w http.ResponseWr
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	s.serveRules(s.qs, w, r)
-}
-
-func (s *Server) serveRules(qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveRules(ctx context.Context, qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Has("basis") {
-		s.serveBasisRules(qs, w, r)
+		s.serveBasisRules(ctx, qs, w, r)
 		return
 	}
 	ant, ok := itemsParam(w, r, "antecedent")
@@ -652,8 +633,6 @@ func (s *Server) serveRules(qs *closedrules.QueryService, w http.ResponseWriter,
 	if !ok {
 		return
 	}
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
 	rule, numTx, err := qs.RuleWithN(ctx, ant, cons)
 	if err != nil {
 		writeQueryError(w, err)
@@ -673,16 +652,7 @@ type recommendJSON struct {
 	Rules    []ruleJSON `json:"rules"`
 }
 
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	s.serveRecommend(s.qs, true, w, r)
-}
-
-// serveRecommend is the recommend core. useBatcher routes the call
-// through the coalescing batcher when one is configured; only the
-// legacy route sets it — the batcher is bound to the default
-// service's RecommendBatch, so tenant routes always query their own
-// service directly.
-func (s *Server) serveRecommend(qs *closedrules.QueryService, useBatcher bool, w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveRecommend(ctx context.Context, qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
 	var req recommendRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -706,18 +676,7 @@ func (s *Server) serveRecommend(qs *closedrules.QueryService, useBatcher bool, w
 	if k > s.cfg.MaxRecommend {
 		k = s.cfg.MaxRecommend
 	}
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	var (
-		recs  []closedrules.Rule
-		numTx int
-		err   error
-	)
-	if useBatcher && s.batcher != nil {
-		recs, numTx, err = s.batcher.Do(ctx, closedrules.RecommendRequest{Observed: closedrules.Items(req.Observed...), K: k})
-	} else {
-		recs, numTx, err = qs.RecommendWithN(ctx, closedrules.Items(req.Observed...), k)
-	}
+	recs, numTx, err := qs.RecommendWithN(ctx, closedrules.Items(req.Observed...), k)
 	if err != nil {
 		writeQueryError(w, err)
 		return
@@ -743,13 +702,9 @@ type basesJSON struct {
 	MinConfidence float64     `json:"minConfidence"`
 }
 
-// handleBases answers GET /bases with the registered basis names and
+// serveBases answers GET /bases with the registered basis names and
 // the pair the current snapshot serves Recommend from.
-func (s *Server) handleBases(w http.ResponseWriter, r *http.Request) {
-	s.serveBases(s.qs, w, r)
-}
-
-func (s *Server) serveBases(qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveBases(_ context.Context, qs *closedrules.QueryService, w http.ResponseWriter, _ *http.Request) {
 	served := qs.ServedBases()
 	writeJSON(w, http.StatusOK, basesJSON{
 		Registered:    closedrules.Bases(),
@@ -767,7 +722,6 @@ type healthJSON struct {
 	Swaps         uint64         `json:"swaps"`
 	Cache         cacheJSON      `json:"cache"`
 	Admission     *admissionJSON `json:"admission,omitempty"`
-	Batching      *batchingJSON  `json:"batching,omitempty"`
 	Refresh       *refreshJSON   `json:"refresh,omitempty"`
 	Tenants       *tenantsJSON   `json:"tenants,omitempty"`
 }
@@ -809,17 +763,6 @@ type admissionJSON struct {
 	MaxInFlight int               `json:"maxInFlight"`
 	InFlight    map[string]int    `json:"inFlight"`
 	Shed        map[string]uint64 `json:"shed"`
-}
-
-// batchingJSON is the healthz view of the recommend batcher; present
-// only when Config.BatchSize is set.
-type batchingJSON struct {
-	BatchSize  int     `json:"batchSize"`
-	MaxWaitMs  float64 `json:"maxWaitMs"`
-	Flushes    uint64  `json:"flushes"`
-	Items      uint64  `json:"items"`
-	Coalesced  uint64  `json:"coalesced"`
-	QueueDepth int     `json:"queueDepth"`
 }
 
 // refreshJSON is the healthz view of the background refresher's cycle
@@ -906,16 +849,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Admission = adm
 	}
-	if b := s.batcher; b != nil {
-		out.Batching = &batchingJSON{
-			BatchSize:  b.size,
-			MaxWaitMs:  float64(b.maxWait.Microseconds()) / 1e3,
-			Flushes:    b.stats.flushes.Load(),
-			Items:      b.stats.items.Load(),
-			Coalesced:  b.stats.coalesced.Load(),
-			QueueDepth: b.queueDepth(),
-		}
-	}
 	if st := s.refreshStats(); st != nil {
 		out.Refresh = refreshToJSON(st)
 	}
@@ -946,9 +879,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.MaxInFlight > 0 {
 		writeAdmission(w, s.cfg.MaxInFlight, queryEndpoints, s.limiters)
 	}
-	if s.batcher != nil {
-		writeBatcher(w, s.batcher)
-	}
 	if s.pool != nil {
 		writeTenantMetrics(w, s.pool.Stats(), s.tmetrics)
 	}
@@ -966,30 +896,19 @@ type reloadJSON struct {
 	ElapsedMs    int64  `json:"elapsedMs"`
 }
 
-// errReloadBusy is the legacy-path counterpart of refresh.ErrBusy.
-var errReloadBusy = errors.New("reload already in progress")
-
-// handleReload answers POST /admin/reload: one forced re-mine-and-
-// swap through whichever mechanism is configured, under the optional
-// ReloadTimeout. With a Refresher it is one forced refresh cycle —
+// handleReload answers POST /admin/reload: one forced refresh cycle —
 // the exact logic the background poll loop runs, sharing its
 // single-flight guard and stats, so an operator POST and an interval
-// tick can never mine concurrently; a cycle already in flight
-// answers 409.
+// tick can never mine concurrently; a cycle already in flight answers
+// 409. The Refresher's MineTimeout bounds the cycle.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Refresher == nil && s.cfg.Reload == nil {
+	if s.cfg.Refresher == nil {
 		writeError(w, http.StatusNotImplemented, "no reload source configured")
 		return
 	}
-	ctx := r.Context()
-	if s.cfg.ReloadTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.ReloadTimeout)
-		defer cancel()
-	}
 	start := time.Now()
-	if err := s.reload(ctx); err != nil {
-		if errors.Is(err, refresh.ErrBusy) || errors.Is(err, errReloadBusy) {
+	if err := s.cfg.Refresher.Refresh(r.Context()); err != nil {
+		if errors.Is(err, refresh.ErrBusy) {
 			writeError(w, http.StatusConflict, err.Error())
 			return
 		}
@@ -1002,21 +921,4 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		BasisRules:   s.qs.NumRules(),
 		ElapsedMs:    time.Since(start).Milliseconds(),
 	})
-}
-
-// reload runs one re-mine-and-swap through the Refresher when
-// configured, else the legacy ReloadFunc under its own mutex.
-func (s *Server) reload(ctx context.Context) error {
-	if s.cfg.Refresher != nil {
-		return s.cfg.Refresher.Refresh(ctx)
-	}
-	if !s.reloadMu.TryLock() {
-		return errReloadBusy
-	}
-	defer s.reloadMu.Unlock()
-	res, err := s.cfg.Reload(ctx)
-	if err != nil {
-		return err
-	}
-	return s.qs.Swap(res)
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"closedrules"
+	"closedrules/refresh"
 )
 
 // classicTx is the running example of the Close paper: five objects
@@ -272,25 +273,14 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestReloadEndpoint(t *testing.T) {
-	qs, err := closedrules.NewQueryService(mineClassic(t, 1), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	calls := 0
-	s, err := New(qs, Config{
-		Reload: func(ctx context.Context) (*closedrules.Result, error) {
-			calls++
-			if calls > 1 {
-				return nil, fmt.Errorf("source gone")
-			}
-			return mineClassic(t, 2), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	_, ts := newRefreshedServer(t, refresh.SourceFunc(func(ctx context.Context) (*closedrules.Dataset, error) {
+		calls++ // serialized by the refresher's single-flight guard
+		if calls > 1 {
+			return nil, fmt.Errorf("source gone")
+		}
+		return closedrules.NewDataset(append(append([][]int{}, classicTx...), classicTx...))
+	}))
 
 	var out reloadJSON
 	postJSON(t, ts.URL+"/admin/reload", struct{}{}, http.StatusOK, &out)
@@ -353,22 +343,15 @@ func TestShardedCacheConcurrent(t *testing.T) {
 // snapshots underneath — queries must never observe an inconsistent
 // state or fail.
 func TestSwapUnderLoad(t *testing.T) {
-	qs, err := closedrules.NewQueryService(mineClassic(t, 1), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	repeat := 1
-	s, err := New(qs, Config{
-		Reload: func(ctx context.Context) (*closedrules.Result, error) {
-			repeat++ // serialized by the server's reload lock
-			return mineClassic(t, 1+repeat%2), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	r, ts := newRefreshedServer(t, refresh.SourceFunc(func(ctx context.Context) (*closedrules.Dataset, error) {
+		repeat++ // serialized by the refresher's single-flight guard
+		var tx [][]int
+		for i := 0; i < 1+repeat%2; i++ {
+			tx = append(tx, classicTx...)
+		}
+		return closedrules.NewDataset(tx)
+	}))
 
 	const goroutines = 6
 	var wg sync.WaitGroup
@@ -427,7 +410,7 @@ func TestSwapUnderLoad(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if got := s.Service().Stats().Swaps; got != 20 {
+	if got := r.Service().Stats().Swaps; got != 20 {
 		t.Errorf("swaps = %d, want 20", got)
 	}
 }

@@ -28,60 +28,17 @@ const DefaultTenantID = "default"
 // whole datasets, so the cap is far above the query-body cap.
 const maxRegisterBytes = 32 << 20
 
-// registerTenantRoutes mounts the multi-tenant route families. The
-// per-tenant query routes share the legacy endpoints' admission gates
-// (one cap per verb across all tenants) and metric names, plus a
-// tenant label in the tenant-scoped families.
+// registerTenantRoutes mounts the dataset registry and job routes.
+// The per-tenant query routes are mounted by New from the same table
+// as the legacy ones. The wildcards here are {dataset} and {job}, not
+// {id}: instrument tenant-labels exactly the routes with an {id}.
 func (s *Server) registerTenantRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("POST /datasets", s.instrument("datasets", s.handleRegisterDataset))
 	mux.HandleFunc("GET /datasets", s.instrument("datasets", s.handleListDatasets))
-	mux.HandleFunc("GET /datasets/{id}", s.instrument("datasets", s.handleGetDataset))
-	mux.HandleFunc("DELETE /datasets/{id}", s.instrument("datasets", s.handleDeleteDataset))
-	mux.HandleFunc("POST /datasets/{id}/mine", s.instrument("datasets", s.handleMineDataset))
-	mux.HandleFunc("GET /jobs/{id}", s.instrument("jobs", s.handleGetJob))
-	mux.HandleFunc("GET /datasets/{id}/support",
-		s.instrumentTenant("support", s.admit(s.limiters["support"], s.tenantQuery(s.serveSupport))))
-	mux.HandleFunc("GET /datasets/{id}/confidence",
-		s.instrumentTenant("confidence", s.admit(s.limiters["confidence"], s.tenantQuery(s.serveConfidence))))
-	mux.HandleFunc("GET /datasets/{id}/rules",
-		s.instrumentTenant("rules", s.admit(s.limiters["rules"], s.tenantQuery(s.serveRules))))
-	mux.HandleFunc("POST /datasets/{id}/recommend",
-		s.instrumentTenant("recommend", s.admit(s.limiters["recommend"], s.tenantQuery(
-			func(qs *closedrules.QueryService, w http.ResponseWriter, r *http.Request) {
-				// Tenant recommends bypass the batcher: it coalesces into
-				// the default service's snapshot, not this tenant's.
-				s.serveRecommend(qs, false, w, r)
-			}))))
-	mux.HandleFunc("GET /datasets/{id}/bases",
-		s.instrumentTenant("bases", s.tenantQuery(s.serveBases)))
-}
-
-// tenantQuery adapts a qs-parametric query core into a tenant route
-// handler: resolve {id} through the pool — materializing the tenant's
-// service if it was evicted — then run the query against it.
-func (s *Server) tenantQuery(serve func(*closedrules.QueryService, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		qs, ok := s.resolveTenant(w, r)
-		if !ok {
-			return
-		}
-		serve(qs, w, r)
-	}
-}
-
-// resolveTenant fetches the tenant's QueryService, answering the
-// error itself when the lookup or (re)materialization fails. The wait
-// for a shared re-mine is bounded by the request deadline; the mine
-// keeps running for later callers if this one times out.
-func (s *Server) resolveTenant(w http.ResponseWriter, r *http.Request) (*closedrules.QueryService, bool) {
-	ctx, cancel := s.queryCtx(r)
-	defer cancel()
-	qs, err := s.pool.Service(ctx, r.PathValue("id"))
-	if err != nil {
-		writeTenantError(w, err)
-		return nil, false
-	}
-	return qs, true
+	mux.HandleFunc("GET /datasets/{dataset}", s.instrument("datasets", s.handleGetDataset))
+	mux.HandleFunc("DELETE /datasets/{dataset}", s.instrument("datasets", s.handleDeleteDataset))
+	mux.HandleFunc("POST /datasets/{dataset}/mine", s.instrument("datasets", s.handleMineDataset))
+	mux.HandleFunc("GET /jobs/{job}", s.instrument("jobs", s.handleGetJob))
 }
 
 // writeTenantError maps pool errors onto statuses: unknown IDs 404,
@@ -396,7 +353,7 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
-	info, err := s.pool.Get(r.PathValue("id"))
+	info, err := s.pool.Get(r.PathValue("dataset"))
 	if err != nil {
 		writeTenantError(w, err)
 		return
@@ -405,7 +362,7 @@ func (s *Server) handleGetDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteDataset(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+	id := r.PathValue("dataset")
 	if err := s.pool.Delete(id); err != nil {
 		writeTenantError(w, err)
 		return
@@ -463,7 +420,7 @@ func jobToJSON(j tenant.JobInfo) jobJSON {
 // Progress is polled at GET /jobs/{id}; on success the job's result
 // is hot-swapped in as the tenant's served snapshot.
 func (s *Server) handleMineDataset(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
+	id := r.PathValue("dataset")
 	var req mineRequest
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
@@ -484,30 +441,12 @@ func (s *Server) handleMineDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	job, err := s.pool.Job(r.PathValue("id"))
+	job, err := s.pool.Job(r.PathValue("job"))
 	if err != nil {
 		writeTenantError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, jobToJSON(job))
-}
-
-// instrumentTenant wraps a tenant query route with the shared
-// per-endpoint accounting plus a tenant-labeled request/error count.
-// The label is only minted for IDs actually in the registry — keying
-// off the response status is not enough, because admission-control
-// 429s fire before tenant resolution, so a scanner probing random IDs
-// during overload would otherwise mint unbounded metric series.
-func (s *Server) instrumentTenant(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		s.metrics.observe(name, rec.code, time.Since(start))
-		if id := r.PathValue("id"); s.pool.Has(id) {
-			s.tmetrics.observe(id, name, rec.code)
-		}
-	}
 }
 
 // tenantMetrics is the tenant-labeled request accounting. Unlike the

@@ -158,6 +158,75 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
+// rawRequest sends one request and returns its status and body as sent.
+func rawRequest(t *testing.T, method, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(raw)
+}
+
+// TestLegacyMatchesDefaultTenant pins that in multi-tenant mode every
+// query verb answers byte-for-byte the same on /X and on
+// /datasets/default/X — successes, a 400 and a 422 alike — and that
+// both route families count under one endpoint series while only the
+// /datasets/default calls carry the tenant label.
+func TestLegacyMatchesDefaultTenant(t *testing.T) {
+	_, ts := newTenantServer(t, Config{})
+	cases := []struct {
+		method, path, body string
+		want               int
+	}{
+		{"GET", "/support?items=1,4", "", http.StatusOK}, // BE is closed
+		{"GET", "/support?items=0", "", http.StatusOK},   // A closes to AC
+		{"GET", "/support?items=a", "", http.StatusBadRequest},
+		{"GET", "/confidence?antecedent=2&consequent=0", "", http.StatusOK},
+		{"GET", "/confidence?antecedent=3&consequent=0", "", http.StatusUnprocessableEntity},
+		{"GET", "/rules?antecedent=2&consequent=0", "", http.StatusOK},
+		{"GET", "/rules?basis=duquenne-guigues", "", http.StatusOK},
+		{"GET", "/rules?basis=luxenburger&minconf=0.7", "", http.StatusOK},
+		{"POST", "/recommend", `{"observed":[1],"k":3}`, http.StatusOK},
+		{"GET", "/bases", "", http.StatusOK},
+	}
+	for _, tc := range cases {
+		legacyCode, legacyBody := rawRequest(t, tc.method, ts.URL+tc.path, tc.body)
+		tenantCode, tenantBody := rawRequest(t, tc.method, ts.URL+"/datasets/"+DefaultTenantID+tc.path, tc.body)
+		if legacyCode != tc.want {
+			t.Errorf("%s %s = %d, want %d; body: %s", tc.method, tc.path, legacyCode, tc.want, legacyBody)
+		}
+		if tenantCode != legacyCode || tenantBody != legacyBody {
+			t.Errorf("%s %s: legacy %d %q, default tenant %d %q",
+				tc.method, tc.path, legacyCode, legacyBody, tenantCode, tenantBody)
+		}
+	}
+
+	_, metrics := rawRequest(t, "GET", ts.URL+"/metrics", "")
+	for endpoint, n := range map[string]int{"support": 3, "confidence": 2, "rules": 3, "recommend": 1, "bases": 1} {
+		for _, want := range []string{
+			fmt.Sprintf("closedrules_http_requests_total{endpoint=%q} %d\n", endpoint, 2*n),
+			fmt.Sprintf("closedrules_tenant_http_requests_total{tenant=%q,endpoint=%q} %d\n", DefaultTenantID, endpoint, n),
+		} {
+			if !strings.Contains(metrics, want) {
+				t.Errorf("metrics missing %q", strings.TrimSpace(want))
+			}
+		}
+	}
+	if got := strings.Count(metrics, "closedrules_tenant_http_requests_total{"); got != 5 {
+		t.Errorf("%d tenant-labelled request series, want 5 (default tenant only)", got)
+	}
+}
+
 func TestTenantRegistryCRUD(t *testing.T) {
 	_, ts := newTenantServer(t, Config{})
 	id := registerTenant(t, ts.URL, "crud", classicTx, nil)
@@ -316,7 +385,7 @@ func TestRegisterWithInitialMine(t *testing.T) {
 // grow the exposition without bound during overload.
 func TestTenantMetricsUnknownIDNotMinted(t *testing.T) {
 	s, _ := newTenantServer(t, Config{})
-	shed := s.instrumentTenant("support", func(w http.ResponseWriter, r *http.Request) {
+	shed := s.instrument("support", func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, "shed")
 	})
 	probe := func(id string) {
@@ -471,11 +540,8 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 	}{
 		{"negative shutdown grace", Config{ShutdownGrace: -time.Second}},
-		{"negative reload timeout", Config{ReloadTimeout: -time.Second}},
 		{"negative max recommend", Config{MaxRecommend: -1}},
 		{"negative max inflight", Config{MaxInFlight: -1}},
-		{"negative batch size", Config{BatchSize: -1}},
-		{"negative batch wait", Config{BatchMaxWait: -time.Millisecond}},
 		{"negative max tenants", Config{MaxTenants: -1}},
 		{"negative tenant budget", Config{TenantMemoryBudget: -1}},
 		{"negative mine workers", Config{MineWorkers: -1}},
@@ -527,8 +593,8 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestSingleTenantHas404Datasets: without MultiTenant the registry
-// routes simply do not exist.
+// TestSingleTenantNoRegistry: without MultiTenant the registry routes
+// and the healthz tenants block simply do not exist.
 func TestSingleTenantNoRegistry(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	getJSON(t, ts.URL+"/datasets", http.StatusNotFound, nil)
