@@ -12,7 +12,7 @@ import (
 // reproduces the two-pass answers exactly: every golden fixture —
 // including the generator-requiring duquenne-guigues, generic and
 // informative bases — built from a genclose-mined result must be
-// byte-identical to the files pinned by the default (close) miner.
+// byte-identical to the pinned golden files.
 func TestBasisGoldenFilesGenClose(t *testing.T) {
 	d := namedClassic(t)
 	for _, algo := range []string{"genclose", "pgenclose"} {

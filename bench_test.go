@@ -388,8 +388,8 @@ func BenchmarkAblation_EclatDiffsets_T10I4(b *testing.B) {
 	})
 }
 
-// Iceberg-lattice construction — the only super-linear stage of the
-// pipeline (O(|FC|²)), parallelized over GOMAXPROCS.
+// Iceberg-lattice construction: one up-set walk per node over FC's
+// posting index, parallelized over GOMAXPROCS.
 func BenchmarkLatticeBuild_T10I4(b *testing.B) {
 	d := questBench(b)
 	fc, _, err := closealg.Mine(d, d.AbsoluteSupport(0.01))

@@ -21,11 +21,13 @@
 //	lattice   iceberg lattice in Graphviz DOT
 //
 // Algorithms are resolved through the miner registry: `-algo list`
-// prints every registered name. Closed modes default to "close",
-// frequent mode to "apriori". The generator-requiring modes (closed,
-// generic) accept any generator-tracking miner: the level-wise close,
-// a-close and titanic, or genclose/pgenclose, which mine the closed
-// sets and their minimal generators in one vertical traversal. Rule bases are resolved through the
+// prints every registered name. Closed modes default to "charm",
+// frequent mode to "apriori"; output that needs minimal generators
+// (the closed and generic modes, or a -basis that requires them)
+// defaults to "genclose", which mines the closed sets and their
+// generators in one vertical traversal. Those outputs accept any
+// generator-tracking miner: genclose/pgenclose or the level-wise
+// close, a-close and titanic. Rule bases are resolved through the
 // basis registry: `-basis list` prints every registered basis, and
 // `-basis NAME` mines and prints that single basis at -minconf
 // (overriding -mode; -full selects the unreduced variant where one
@@ -61,7 +63,7 @@ func run(args []string, w io.Writer) error {
 		minsup  = fs.Float64("minsup", 0.5, "relative minimum support (0,1]")
 		abssup  = fs.Int("abssup", 0, "absolute minimum support (overrides -minsup when ≥1)")
 		minconf = fs.Float64("minconf", 0.5, "minimum confidence [0,1]")
-		algo    = fs.String("algo", "", "miner registry name (\"list\" to print all; default close, or apriori in frequent mode)")
+		algo    = fs.String("algo", "", "miner registry name (\"list\" to print all; default charm, genclose when the output needs generators, apriori in frequent mode)")
 		basis   = fs.String("basis", "", "basis registry name (\"list\" to print all); overrides -mode with a single-basis run")
 		full    = fs.Bool("full", false, "with -basis: build the unreduced variant where one exists")
 		mode    = fs.String("mode", "bases", "stats | frequent | closed | pseudo | rules | bases | generic | lattice")
@@ -118,7 +120,17 @@ func run(args []string, w io.Writer) error {
 	if *abssup >= 1 {
 		opts = []closedrules.MineOption{closedrules.WithAbsoluteMinSupport(*abssup)}
 	}
-	// Algorithm defaulting (close / apriori) is the library's job.
+	// Algorithm defaulting (charm / apriori) is the library's job, except
+	// that output needing minimal generators mines them in the same pass.
+	if *algo == "" {
+		// The closed and generic modes print minimal generators, as a
+		// generic basis needs them.
+		sel := closedrules.BasisSelection{Exact: *basis}
+		if *basis == "" && (*mode == "closed" || *mode == "generic") {
+			sel.Exact = "generic"
+		}
+		*algo = sel.Miner()
+	}
 	if *algo != "" {
 		opts = append(opts, closedrules.WithAlgorithm(*algo))
 	}

@@ -226,3 +226,18 @@ func TestErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestClosedModeDefaultPrintsGenerators: with no -algo the closed mode
+// mines with genclose, so every closed itemset keeps its generators.
+func TestClosedModeDefaultPrintsGenerators(t *testing.T) {
+	out := runCLI(t, "-in", writeClassic(t), "-minsup", "0.4", "-mode", "closed")
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	for _, l := range lines[:len(lines)-1] {
+		if !strings.Contains(l, "gen:") {
+			t.Errorf("closed itemset without generators: %q\n%s", l, out)
+		}
+	}
+	if !strings.Contains(out, "# 6 frequent closed itemsets") {
+		t.Errorf("closed mode output:\n%s", out)
+	}
+}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	arserve -in data.dat -minsup 0.3 [-minconf 0.5] [-addr :8080]
-//	        [-algo close] [-exact-basis duquenne-guigues] [-approx-basis luxenburger]
+//	        [-algo charm] [-exact-basis duquenne-guigues] [-approx-basis luxenburger]
 //	        [-table -sep , -header]
 //	        [-refresh 30s] [-refresh-timeout 1m]
 //	        [-incremental=true] [-incremental-max-ratio 0.25]
@@ -119,7 +119,7 @@ func parseFlags(args []string) (*config, error) {
 		minsup         = fs.Float64("minsup", 0.5, "relative minimum support (0,1]")
 		abssup         = fs.Int("abssup", 0, "absolute minimum support (overrides -minsup when ≥1)")
 		minconf        = fs.Float64("minconf", 0.5, "minimum confidence [0,1] for the served approximate basis")
-		algo           = fs.String("algo", "", "closed-miner registry name (default close)")
+		algo           = fs.String("algo", "", "closed-miner registry name (default charm, or genclose when a served basis needs generators)")
 		exactBasis     = fs.String("exact-basis", "", "basis registry name served for exact rules (default duquenne-guigues)")
 		approxBasis    = fs.String("approx-basis", "", "basis registry name served for approximate rules (default luxenburger)")
 		addr           = fs.String("addr", ":8080", "listen address")
@@ -175,14 +175,20 @@ func parseFlags(args []string) (*config, error) {
 }
 
 // mineOptions are the registry options shared by the initial mine and
-// every refresh cycle.
+// every refresh cycle. Without -algo the library default (charm) mines,
+// unless a served basis needs minimal generators: then genclose mines
+// FC and generators in one pass.
 func (c *config) mineOptions() []closedrules.MineOption {
 	opts := []closedrules.MineOption{closedrules.WithMinSupport(c.minsup)}
 	if c.abssup >= 1 {
 		opts = []closedrules.MineOption{closedrules.WithAbsoluteMinSupport(c.abssup)}
 	}
-	if c.algo != "" {
-		opts = append(opts, closedrules.WithAlgorithm(c.algo))
+	algo := c.algo
+	if algo == "" {
+		algo = closedrules.BasisSelection{Exact: c.exactBasis, Approximate: c.approxBasis}.Miner()
+	}
+	if algo != "" {
+		opts = append(opts, closedrules.WithAlgorithm(algo))
 	}
 	return opts
 }

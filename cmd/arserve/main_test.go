@@ -451,3 +451,29 @@ func TestRefreshTimeoutDefaultsToMineTimeout(t *testing.T) {
 		t.Error("negative -refresh accepted")
 	}
 }
+
+// TestGeneratorBasisMinesGenClose: with a generator basis selected and
+// no -algo, the one mine is genclose, so the served result carries the
+// generators and no basis build re-mines to resolve them.
+func TestGeneratorBasisMinesGenClose(t *testing.T) {
+	path := writeClassic(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "charm"},
+		{[]string{"-exact-basis", "generic"}, "genclose"},
+		{[]string{"-approx-basis", "informative"}, "genclose"},
+		{[]string{"-exact-basis", "generic", "-algo", "close"}, "close"},
+	} {
+		srv, _, _, err := setup(context.Background(), append([]string{"-in", path, "-minsup", "0.4"}, tc.args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := srv.Service().ServedResult()
+		if res.MinerName() != tc.want || (tc.want != "charm" && !res.HasGenerators()) {
+			t.Errorf("%v: served result mined by %q (generators %v), want %q",
+				tc.args, res.MinerName(), res.HasGenerators(), tc.want)
+		}
+	}
+}

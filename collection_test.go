@@ -9,7 +9,9 @@ import (
 func storedCollection(t *testing.T) (*Result, *ClosedCollection) {
 	t.Helper()
 	d := classic(t)
-	res, err := MineContext(context.Background(), d, WithMinSupport(0.4))
+	// The stored format carries generators only from a miner that
+	// tracks them; the default miner (charm) does not.
+	res, err := MineContext(context.Background(), d, WithMinSupport(0.4), WithAlgorithm("genclose"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := closedrules.MineContext(ctx, ds, closedrules.WithMinSupport(0.4))
+	// genclose records each closed itemset's minimal generators; the
+	// default miner (charm) mines the same closed itemsets without them.
+	res, err := closedrules.MineContext(ctx, ds, closedrules.WithMinSupport(0.4),
+		closedrules.WithAlgorithm("genclose"))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := closedrules.MineContext(ctx, ds, closedrules.WithMinSupport(0.4))
+	// genclose records each closed itemset's minimal generators, so the
+	// stored collection can serve the generic basis later.
+	res, err := closedrules.MineContext(ctx, ds, closedrules.WithMinSupport(0.4),
+		closedrules.WithAlgorithm("genclose"))
 	if err != nil {
 		log.Fatal(err)
 	}

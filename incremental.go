@@ -31,7 +31,8 @@ var ErrIncremental = errors.New("closedrules: incremental update not applicable"
 // prev's — true by construction for a relative threshold under appends.
 // Generators are not maintained: the result has TracksGenerators() ==
 // false, so bases that need generators (generic, informative) require a
-// full re-mine instead.
+// full re-mine instead — which a result descending from a defaulted
+// MineContext runs by itself, as genclose generator resolution.
 //
 // Refusals — nil or empty inputs, a lowered threshold, a threshold
 // above the new transaction count — return an error wrapping
@@ -71,10 +72,11 @@ func UpdateAppend(ctx context.Context, prev *Result, appended *Dataset, opts ...
 		return nil, fmt.Errorf("%w: %v", ErrIncremental, err)
 	}
 	return &Result{
-		d:         full,
-		minSup:    minSup,
-		minerName: "incremental",
-		hasGens:   false,
-		fc:        fc,
+		d:           full,
+		minSup:      minSup,
+		minerName:   "incremental",
+		hasGens:     false,
+		resolveGens: prev.resolveGens,
+		fc:          fc,
 	}, nil
 }

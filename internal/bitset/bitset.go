@@ -264,6 +264,73 @@ func (s Set) AndNotCount(t Set) int {
 	return n
 }
 
+// NextInAll returns the smallest element ≥ x that belongs to every
+// set, or -1 if none does — the first bit of the sets' intersection,
+// found word by word without materializing it, so a hit in an early
+// word never touches the rest. sets must be non-empty and share one
+// width.
+//
+//ar:noalloc
+func NextInAll(sets []Set, x int) int {
+	first := sets[0]
+	for _, t := range sets[1:] {
+		first.sameWidth(t)
+	}
+	if x < 0 {
+		x = 0
+	}
+	if x >= first.width {
+		return -1
+	}
+	for i := x / wordBits; i < len(first.words); i++ {
+		w := first.words[i]
+		if i == x/wordBits {
+			w &= ^uint64(0) << (uint(x) % wordBits)
+		}
+		for _, t := range sets[1:] {
+			if w == 0 {
+				break
+			}
+			w &= t.words[i]
+		}
+		if w != 0 {
+			return i*wordBits + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
+// AndNotAll removes from s every element ≥ x that belongs to all of
+// sets: s ∖= (∩ sets) restricted to [x, width). A word whose partial
+// intersection empties stops early. sets must be non-empty and share
+// s's width.
+//
+//ar:noalloc
+func (s Set) AndNotAll(sets []Set, x int) {
+	for _, t := range sets {
+		s.sameWidth(t)
+	}
+	if x < 0 {
+		x = 0
+	}
+	if x >= s.width {
+		return
+	}
+	for i := x / wordBits; i < len(s.words); i++ {
+		w := s.words[i]
+		if i == x/wordBits {
+			w &= ^uint64(0) << (uint(x) % wordBits)
+		}
+		for _, t := range sets {
+			if w == 0 {
+				break
+			}
+			w &= t.words[i]
+		}
+		s.words[i] &^= w
+	}
+}
+
 // Intersect returns a new set s ∩ t.
 func (s Set) Intersect(t Set) Set {
 	s.sameWidth(t)

@@ -368,3 +368,55 @@ func TestInPlaceWidthMismatchPanics(t *testing.T) {
 	}()
 	New(10).AndInto(New(10), New(20))
 }
+
+// TestMultiWayPrimitives checks NextInAll and AndNotAll against the
+// materialized intersection, on widths that span several words and
+// start offsets inside, at and past word boundaries.
+func TestMultiWayPrimitives(t *testing.T) {
+	rng := rand.New(rand.NewSource(100))
+	for trial := 0; trial < 300; trial++ {
+		width := 1 + rng.Intn(300)
+		sets := make([]Set, 1+rng.Intn(4))
+		inter := Full(width)
+		for k := range sets {
+			sets[k] = New(width)
+			for i := 0; i < width; i++ {
+				if rng.Intn(3) != 0 {
+					sets[k].Add(i)
+				}
+			}
+			inter.And(sets[k])
+		}
+		for _, x := range []int{-1, 0, rng.Intn(width), 63, 64, 65, 128, width - 1, width} {
+			want := inter.Next(x)
+			if got := NextInAll(sets, x); got != want {
+				t.Fatalf("width %d: NextInAll(·, %d) = %d, want %d", width, x, got, want)
+			}
+			s := New(width)
+			for i := 0; i < width; i++ {
+				if rng.Intn(2) == 0 {
+					s.Add(i)
+				}
+			}
+			wantS := s.Clone()
+			inter.ForEach(func(e int) bool {
+				if e >= x {
+					wantS.Remove(e)
+				}
+				return true
+			})
+			s.AndNotAll(sets, x)
+			if !s.Equal(wantS) {
+				t.Fatalf("width %d: AndNotAll(·, %d) = %v, want %v", width, x, s, wantS)
+			}
+		}
+	}
+	a := Full(1000)
+	sets := []Set{a, Full(1000)}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = NextInAll(sets, 500)
+		a.AndNotAll(sets[1:], 999)
+	}); n != 0 {
+		t.Fatalf("allocs per run = %v, want 0", n)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"sync"
 
+	"closedrules/internal/bitset"
 	"closedrules/internal/itemset"
 )
 
@@ -29,8 +30,8 @@ type Set struct {
 	byKey map[string]int
 	list  []Closed
 
-	mu     sync.Mutex // guards the lazily built sorted index
-	sorted []int      // indices ordered by (size, lex); nil when stale
+	mu  sync.Mutex // guards the lazily built index
+	idx *Index     // FC posting index; nil when stale
 }
 
 // New returns an empty set.
@@ -61,7 +62,7 @@ func (s *Set) Add(items itemset.Itemset, support int) {
 	}
 	s.byKey[k] = len(s.list)
 	s.list = append(s.list, Closed{Items: items, Support: support})
-	s.sorted = nil
+	s.idx = nil
 }
 
 // AddGenerator records gen as a (minimal) generator of the closed
@@ -123,20 +124,15 @@ func (s *Set) Get(items itemset.Itemset) (Closed, bool) {
 	return s.list[i], true
 }
 
-func (s *Set) ensureSorted() []int {
+// Index returns the FC posting index, building it on first use after
+// the set last grew.
+func (s *Set) Index() *Index {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sorted == nil {
-		idx := make([]int, len(s.list))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			return s.list[idx[a]].Items.Compare(s.list[idx[b]].Items) < 0
-		})
-		s.sorted = idx
+	if s.idx == nil {
+		s.idx = newIndex(s.list)
 	}
-	return s.sorted
+	return s.idx
 }
 
 // Each calls fn for every closed itemset in unspecified order,
@@ -153,10 +149,10 @@ func (s *Set) Each(fn func(Closed) bool) {
 
 // All returns the closed itemsets in canonical (size, lex) order.
 func (s *Set) All() []Closed {
-	sorted := s.ensureSorted()
-	out := make([]Closed, len(s.list))
-	for i, idx := range sorted {
-		out[i] = s.list[idx]
+	order := s.Index().order
+	out := make([]Closed, len(order))
+	for id, pos := range order {
+		out[id] = s.list[pos]
 	}
 	return out
 }
@@ -169,17 +165,17 @@ func (s *Set) All() []Closed {
 //
 // An itemset that is itself closed — the common case on serving paths,
 // where queries arrive straight from basis rules — is answered by one
-// key lookup; only non-closed itemsets pay the ordered scan.
+// key lookup; any other is the first id of X's up-set in the Index.
 func (s *Set) ClosureOf(x itemset.Itemset) (Closed, bool) {
 	if i, ok := s.byKey[x.Key()]; ok {
 		return s.list[i], true
 	}
-	for _, idx := range s.ensureSorted() {
-		if s.list[idx].Items.ContainsAll(x) {
-			return s.list[idx], true
-		}
+	idx := s.Index()
+	id := idx.first(x, 0)
+	if id < 0 {
+		return Closed{}, false
 	}
-	return Closed{}, false
+	return s.list[idx.order[id]], true
 }
 
 // SupportOf returns supp(X) = supp(h(X)) for any itemset X contained
@@ -193,22 +189,16 @@ func (s *Set) SupportOf(x itemset.Itemset) (int, bool) {
 }
 
 // Maximal returns the maximal closed itemsets (the maximal frequent
-// itemsets, by the paper's §2 property).
+// itemsets, by the paper's §2 property), in canonical order. A set is
+// maximal when its up-set holds only itself: no id after its own.
 func (s *Set) Maximal() []Closed {
+	idx := s.Index()
 	var out []Closed
-	for i, ci := range s.list {
-		isMax := true
-		for j, cj := range s.list {
-			if i != j && cj.Items.ContainsAll(ci.Items) {
-				isMax = false
-				break
-			}
-		}
-		if isMax {
-			out = append(out, ci)
+	for id, pos := range idx.order {
+		if c := s.list[pos]; idx.first(c.Items, id+1) < 0 {
+			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Items.Compare(out[b].Items) < 0 })
 	return out
 }
 
@@ -220,13 +210,11 @@ func (s *Set) Bottom() (Closed, bool) {
 	if len(s.list) == 0 {
 		return Closed{}, false
 	}
-	bot := s.list[s.ensureSorted()[0]]
-	for _, c := range s.list {
-		if !c.Items.ContainsAll(bot.Items) {
-			return bot, false
-		}
-	}
-	return bot, true
+	idx := s.Index()
+	bot := s.list[idx.order[0]]
+	up := bitset.New(idx.Len())
+	idx.UpSet(up, bot.Items)
+	return bot, up.Count() == idx.Len()
 }
 
 // Equal reports whether two sets contain the same closed itemsets with

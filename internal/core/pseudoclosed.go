@@ -50,9 +50,9 @@ type Pseudo struct {
 // premise, and so does each superset it grows into, so no premise ever
 // equals the set being closed and strictness needs no test.
 //
-// Frequency and h come from per-item posting bitsets over FC ids in
-// size-ascending order: the AND of X's postings (its FC extent) is
-// non-empty iff X is frequent, and its lowest id is h(X).
+// Frequency and h come from FC's posting index (closedset.Index): the
+// AND of X's postings (its FC extent) is non-empty iff X is frequent,
+// and its lowest id is h(X).
 // Because the implications hold in the data, L• keeps the FC extent of
 // a frequent set, so the extent of a NextClosure candidate
 // (A ∩ {<i}) ∪ {i} — one probe of the prefix extent against i's
@@ -79,7 +79,7 @@ func PseudoClosedSets(ctx context.Context, numTx int, fc *closedset.Set) ([]Pseu
 	}
 
 	// L•(∅) = ∅ is the lectically first set; its extent is all of FC.
-	a := bitset.New(len(e.items))
+	a := bitset.New(len(e.idx.Items()))
 	record(a)
 	for {
 		if err := ctx.Err(); err != nil {
@@ -95,13 +95,12 @@ func PseudoClosedSets(ctx context.Context, numTx int, fc *closedset.Set) ([]Pseu
 }
 
 // enumerator holds the FC index and the NextClosure state. Itemsets
-// are bitsets over item indices 0…k−1, the frequent items in
-// ascending order; lectic order on indices is lectic order on items.
+// are bitsets over item indices 0…k−1, the index's slots of the items
+// occurring in FC, ascending; lectic order on indices is lectic order
+// on items.
 type enumerator struct {
-	closed   []closedset.Closed // FC in (size, lex) order: id → set
-	items    []int              // item index → item
-	index    map[int]int        // item → item index
-	postings []bitset.Set       // item index → ids of the FC sets holding it
+	closed []closedset.Closed // FC in (size, lex) order: id → set
+	idx    *closedset.Index   // item index ↔ item, and each slot's posting
 
 	// elems lists the current set A in ascending order; ext[t] is the
 	// FC extent of its first t elements, so ext[0] is all of FC.
@@ -115,33 +114,15 @@ type enumerator struct {
 }
 
 func newEnumerator(fc *closedset.Set) *enumerator {
-	e := &enumerator{closed: fc.All(), index: map[int]int{}}
-	for _, c := range e.closed {
-		for _, it := range c.Items {
-			if _, ok := e.index[it]; !ok {
-				e.index[it] = 0
-				e.items = append(e.items, it)
-			}
-		}
+	idx := fc.Index()
+	k := len(idx.Items())
+	return &enumerator{
+		closed: fc.All(),
+		idx:    idx,
+		ext:    []bitset.Set{bitset.Full(idx.Len())},
+		cand:   bitset.New(k),
+		diff:   bitset.New(k),
 	}
-	sort.Ints(e.items)
-	for j, it := range e.items {
-		e.index[it] = j
-	}
-	m := len(e.closed)
-	e.postings = make([]bitset.Set, len(e.items))
-	for j := range e.postings {
-		e.postings[j] = bitset.New(m)
-	}
-	for id, c := range e.closed {
-		for _, it := range c.Items {
-			e.postings[e.index[it]].Add(id)
-		}
-	}
-	e.ext = []bitset.Set{bitset.Full(m)}
-	e.cand = bitset.New(len(e.items))
-	e.diff = bitset.New(len(e.items))
-	return e
 }
 
 // next advances a to the lectically next frequent L•-closed set and
@@ -149,14 +130,14 @@ func newEnumerator(fc *closedset.Set) *enumerator {
 // and e.ext[len(e.elems)] holds its FC extent.
 func (e *enumerator) next(a bitset.Set) bool {
 	t := len(e.elems) // |A ∩ {0…i}| at the top of each iteration
-	for i := len(e.items) - 1; i >= 0; i-- {
+	for i := len(e.idx.Items()) - 1; i >= 0; i-- {
 		if a.Has(i) {
 			t--
 			continue
 		}
 		// (A ∩ {<i}) ∪ {i} is frequent iff A's prefix extent meets
 		// posting[i]; if not, no L•-closed set with this prefix is.
-		if !e.ext[t].IntersectionAtLeast(e.postings[i], 1) {
+		if !e.ext[t].IntersectionAtLeast(e.idx.PostingAt(i), 1) {
 			continue
 		}
 		e.cand.Clear()
@@ -192,7 +173,7 @@ func (e *enumerator) advance(t, i int, a bitset.Set) {
 	for len(e.ext) <= len(e.elems) {
 		e.ext = append(e.ext, bitset.New(len(e.closed)))
 	}
-	e.ext[t+1].AndInto(e.ext[t], e.postings[i])
+	e.ext[t+1].AndInto(e.ext[t], e.idx.PostingAt(i))
 	for j := t + 2; j <= len(e.elems); j++ {
 		e.ext[j].Copy(e.ext[t+1])
 	}
@@ -218,7 +199,7 @@ func (e *enumerator) closeUnder(y bitset.Set) {
 func (e *enumerator) itemsOf(a bitset.Set) itemset.Itemset {
 	out := make(itemset.Itemset, 0, a.Count())
 	a.ForEach(func(x int) bool {
-		out = append(out, e.items[x])
+		out = append(out, e.idx.Items()[x])
 		return true
 	})
 	return out
@@ -226,9 +207,10 @@ func (e *enumerator) itemsOf(a bitset.Set) itemset.Itemset {
 
 // indexSet maps a closed itemset to its item-index bitset.
 func (e *enumerator) indexSet(items itemset.Itemset) bitset.Set {
-	s := bitset.New(len(e.items))
+	s := bitset.New(len(e.idx.Items()))
 	for _, it := range items {
-		s.Add(e.index[it])
+		j, _ := e.idx.Slot(it)
+		s.Add(j)
 	}
 	return s
 }

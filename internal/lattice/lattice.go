@@ -8,9 +8,9 @@ package lattice
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"closedrules/internal/bitset"
 	"closedrules/internal/closedset"
@@ -26,99 +26,72 @@ type Lattice struct {
 	Down  [][]int // Down[i]: immediate subsets (lower covers) of node i
 
 	index map[string]int
+	fc    *closedset.Set
 }
 
 // Build constructs the lattice and its Hasse diagram from a set of
-// closed itemsets. Cost is O(|FC|² · w) bitset operations, where w is
-// the item-universe width in words; the per-node cover computation is
-// independent, so it is spread over GOMAXPROCS goroutines.
+// closed itemsets. Node ids are the ids of the set's posting index, so
+// node i's up-set is the AND of its postings. Walking the up-set in id
+// order — ascending size — each node still in it is an upper cover,
+// and accepting one strikes that cover's up-set from the rest of the
+// walk. A node costs one up-set plus one strike per cover, word-
+// parallel over |FC| bits; the walks are independent and spread over
+// GOMAXPROCS goroutines.
 func Build(fc *closedset.Set) *Lattice {
 	nodes := fc.All()
+	idx := fc.Index()
 	l := &Lattice{
 		Nodes: nodes,
 		Up:    make([][]int, len(nodes)),
 		Down:  make([][]int, len(nodes)),
 		index: make(map[string]int, len(nodes)),
-	}
-	width := 0
-	for _, n := range nodes {
-		for _, it := range n.Items {
-			if it+1 > width {
-				width = it + 1
-			}
-		}
+		fc:    fc,
 	}
 	for i, n := range nodes {
 		l.index[n.Items.Key()] = i
 	}
 
-	intents := make([]bitset.Set, len(nodes))
-	for i, n := range nodes {
-		b := bitset.New(width)
-		for _, it := range n.Items {
-			b.Add(it)
-		}
-		intents[i] = b
-	}
-
-	// Nodes are size-ascending, so supersets of i always follow i.
-	// A superset j is an upper cover iff no previously accepted cover
-	// c of i satisfies c ⊂ j (scanning in ascending size keeps covers
-	// minimal). Each node's scan is independent of the others.
-	coversOf := func(i int) []int {
-		var covers []int
-		for j := i + 1; j < len(nodes); j++ {
-			if !intents[i].IsSubset(intents[j]) || intents[i].Equal(intents[j]) {
-				continue
-			}
-			minimal := true
-			for _, c := range covers {
-				if intents[c].IsSubset(intents[j]) {
-					minimal = false
-					break
-				}
-			}
-			if minimal {
+	// walk claims nodes from next until none are left. Every candidate
+	// in i's up-set is a superset of i, so it contains the accepted
+	// cover j iff it holds j∖i: striking the AND of those postings from
+	// the ids after j removes exactly j's up-set.
+	var next atomic.Int64
+	walk := func() {
+		cand := bitset.New(len(nodes))
+		var ps []bitset.Set
+		for i := int(next.Add(1)) - 1; i < len(nodes); i = int(next.Add(1)) - 1 {
+			idx.UpSet(cand, nodes[i].Items)
+			var covers []int
+			for j := cand.Next(i + 1); j >= 0; j = cand.Next(j + 1) {
 				covers = append(covers, j)
+				ps, _ = idx.Postings(ps[:0], nodes[j].Items.Diff(nodes[i].Items))
+				cand.AndNotAll(ps, j+1)
 			}
+			l.Up[i] = covers
 		}
-		return covers
 	}
 
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(nodes) {
 		workers = len(nodes)
 	}
-	if workers <= 1 {
-		for i := range nodes {
-			l.Up[i] = coversOf(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					l.Up[i] = coversOf(i)
-				}
-			}()
-		}
-		for i := range nodes {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			walk()
+		}()
 	}
+	walk()
+	wg.Wait()
 
+	// Up lists are visited in ascending i, so every Down list is built
+	// sorted.
 	for i, covers := range l.Up {
 		for _, j := range covers {
 			l.Down[j] = append(l.Down[j], i)
 		}
-	}
-	for i := range l.Down {
-		sort.Ints(l.Down[i])
 	}
 	return l
 }
@@ -251,14 +224,11 @@ func (l *Lattice) Meet(a, b int) (int, bool) {
 // Join returns the supremum of two nodes: the smallest closed itemset
 // containing both, which exists iff their union is frequent.
 func (l *Lattice) Join(a, b int) (int, bool) {
-	union := l.Nodes[a].Items.Union(l.Nodes[b].Items)
-	// The smallest node containing the union; Nodes are size-ascending.
-	for i, n := range l.Nodes {
-		if n.Items.ContainsAll(union) {
-			return i, true
-		}
+	c, ok := l.fc.ClosureOf(l.Nodes[a].Items.Union(l.Nodes[b].Items))
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return l.NodeIndex(c.Items)
 }
 
 // DOT renders the Hasse diagram in Graphviz format; names may be nil.

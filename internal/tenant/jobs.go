@@ -153,6 +153,10 @@ func (m *jobManager) enqueue(t *entry, params Params) (JobInfo, error) {
 		state:      JobQueued,
 		enqueuedAt: time.Now(),
 	}
+	// Snapshot before the hand-off: once queued, a worker may run the
+	// job to completion before this call returns, and the caller is
+	// owed the job as enqueued.
+	info := j.info()
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -174,7 +178,7 @@ func (m *jobManager) enqueue(t *entry, params Params) (JobInfo, error) {
 	m.order = append(m.order, j.id)
 	m.pruneLocked()
 	m.mu.Unlock()
-	return j.info(), nil
+	return info, nil
 }
 
 // pruneLocked drops the oldest finished job records past

@@ -152,14 +152,22 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// mineOptions renders the params as registry mining options.
+// mineOptions renders the params as registry mining options. With no
+// Algorithm the library default (charm) mines, unless a served basis
+// needs minimal generators: then genclose mines FC and generators in
+// one pass, and neither the build nor a refresh re-mines to resolve
+// them.
 func (p Params) mineOptions() []closedrules.MineOption {
 	opts := []closedrules.MineOption{closedrules.WithMinSupport(p.MinSupport)}
 	if p.AbsSupport >= 1 {
 		opts = []closedrules.MineOption{closedrules.WithAbsoluteMinSupport(p.AbsSupport)}
 	}
-	if p.Algorithm != "" {
-		opts = append(opts, closedrules.WithAlgorithm(p.Algorithm))
+	algo := p.Algorithm
+	if algo == "" {
+		algo = closedrules.BasisSelection{Exact: p.ExactBasis, Approximate: p.ApproxBasis}.Miner()
+	}
+	if algo != "" {
+		opts = append(opts, closedrules.WithAlgorithm(algo))
 	}
 	return opts
 }
@@ -443,9 +451,16 @@ func (p *Pool) Register(spec Spec) (Info, error) {
 		params:    params,
 	}
 	t.lastUsed.Store(time.Now().UnixNano())
+	// The accounting below reads these locals, never the entry: once
+	// the entry is published, a concurrent Delete, materialization or
+	// job may rewrite its svc and bytes under t.mu. Reading the entry
+	// there would race them and could count a service that some other
+	// path already counted (or already released).
+	var bytes int64
 	if spec.Service != nil {
+		bytes = spec.Service.MemoryEstimate()
 		t.svc = spec.Service
-		t.bytes = spec.Service.MemoryEstimate()
+		t.bytes = bytes
 	}
 
 	sh := p.shardOf(id)
@@ -466,9 +481,9 @@ func (p *Pool) Register(spec Spec) (Info, error) {
 	sh.tenants[id] = t
 	p.registered.Add(1)
 	sh.mu.Unlock()
-	if t.svc != nil {
+	if spec.Service != nil {
 		p.resident.Add(1)
-		p.bytes.Add(t.bytes)
+		p.bytes.Add(bytes)
 		p.enforceBudget(t)
 	}
 	return p.infoOf(t), nil

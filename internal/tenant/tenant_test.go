@@ -516,3 +516,30 @@ func TestPoolHammer(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestGeneratorBasisTenantMinesGenClose: a tenant serving a generator
+// basis with no Algorithm mines genclose in its one pass, so the
+// served result carries the generators; one without keeps the default.
+func TestGeneratorBasisTenantMinesGenClose(t *testing.T) {
+	p := newTestPool(t, 1<<30)
+	gen := classicParams()
+	gen.ExactBasis = "generic"
+	for id, tc := range map[string]struct {
+		params Params
+		want   string
+	}{
+		"gen":   {gen, "genclose"},
+		"plain": {classicParams(), "charm"},
+	} {
+		if _, err := p.Register(Spec{ID: id, Source: newCountingSource(t, classicTx), Params: tc.params}); err != nil {
+			t.Fatal(err)
+		}
+		svc, err := p.Service(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := svc.ServedResult(); res.MinerName() != tc.want {
+			t.Errorf("%s: mined by %q, want %q", id, res.MinerName(), tc.want)
+		}
+	}
+}

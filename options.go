@@ -116,9 +116,10 @@ func WithReduction(reduced bool) BasisOption {
 // minimal generators: the registry re-mines the dataset once with
 // genclose — the one-pass closed-sets-plus-generators miner — and
 // builds the basis from that resolved family. The re-mine is memoized
-// on the Result, so repeated basis builds pay for it once. Off by
-// default: without the opt-in such a request keeps failing with the
-// explicit requirement error, as it always has.
+// on the Result, so repeated basis builds pay for it once. A result
+// mined with the default miner (no WithAlgorithm) resolves this way
+// without the opt-in; on a result whose miner was named explicitly,
+// such a request without the opt-in fails with the requirement error.
 func WithGeneratorResolution() BasisOption {
 	return func(cfg *basisConfig) error {
 		cfg.genResolve = true
@@ -164,8 +165,14 @@ func (c mineConfig) minSup(d *Dataset) (int, error) {
 }
 
 // MineContext extracts the frequent closed itemsets of the dataset
-// with the selected closed-itemset miner (default "close") and returns
-// a Result from which itemsets, rules and bases are derived. The
+// with the selected closed-itemset miner and returns a Result from
+// which itemsets, rules and bases are derived. The default miner is
+// "charm", the fastest exact closed miner; every closed miner returns
+// the same FC, and the paper's bases are functions of FC alone. Charm
+// records no minimal generators, so a defaulted Result asked for a
+// generator basis (generic, informative) re-mines once with genclose,
+// memoized; a caller that knows it will serve such a basis should
+// pass its BasisSelection.Miner to WithAlgorithm and mine once. The
 // context is honored at the miner's level or extension boundaries, so
 // cancellation and deadlines abort a runaway mine mid-run with
 // ctx.Err().
@@ -174,8 +181,9 @@ func MineContext(ctx context.Context, d *Dataset, opts ...MineOption) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	if cfg.algorithm == "" {
-		cfg.algorithm = "close"
+	defaulted := cfg.algorithm == ""
+	if defaulted {
+		cfg.algorithm = "charm"
 	}
 	minSup, err := cfg.minSup(d)
 	if err != nil {
@@ -193,11 +201,12 @@ func MineContext(ctx context.Context, d *Dataset, opts ...MineOption) (*Result, 
 		return nil, err
 	}
 	return &Result{
-		d:         d,
-		minSup:    minSup,
-		minerName: miner.Canonical(cfg.algorithm),
-		hasGens:   m.TracksGenerators(),
-		fc:        closedset.FromSlice(items),
+		d:           d,
+		minSup:      minSup,
+		minerName:   miner.Canonical(cfg.algorithm),
+		hasGens:     m.TracksGenerators(),
+		resolveGens: defaulted,
+		fc:          closedset.FromSlice(items),
 	}, nil
 }
 

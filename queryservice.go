@@ -42,6 +42,34 @@ type BasisSelection struct {
 	Approximate string
 }
 
+// NeedsGenerators reports whether either basis of the selection
+// declares a Generators requirement. An unknown name reports true;
+// building a service with it fails anyway.
+func (b BasisSelection) NeedsGenerators() bool {
+	for _, name := range []string{b.Exact, b.Approximate} {
+		if name == "" {
+			continue
+		}
+		bb, err := LookupBasis(name)
+		if err != nil || bb.Requirements().Generators {
+			return true
+		}
+	}
+	return false
+}
+
+// Miner names the closed miner a caller that knows its served pair
+// before mining should pass to WithAlgorithm when it has no preference:
+// "genclose" when a basis needs minimal generators, so FC and the
+// generators come from one pass instead of the default miner plus a
+// resolution re-mine, and "" (MineContext's default) otherwise.
+func (b BasisSelection) Miner() string {
+	if b.NeedsGenerators() {
+		return "genclose"
+	}
+	return ""
+}
+
 // defaultBasisSelection is the paper's pair: Duquenne–Guigues exact
 // rules plus the reduced Luxenburger basis.
 var defaultBasisSelection = BasisSelection{Exact: "duquenne-guigues", Approximate: "luxenburger"}
@@ -125,7 +153,9 @@ func NewQueryService(res *Result, minConf float64) (*QueryService, error) {
 // NewQueryServiceWithBases is NewQueryService with an explicit basis
 // pair: Recommend serves the rules of the named exact and approximate
 // bases instead of the defaults. Generator-based bases ("generic",
-// "informative") require a generator-tracking miner.
+// "informative") need a generator-tracking miner, or a Result mined
+// with the default miner, which resolves them with one genclose
+// re-mine.
 func NewQueryServiceWithBases(res *Result, minConf float64, sel BasisSelection) (*QueryService, error) {
 	st, err := stateFromResult(res, minConf, sel)
 	if err != nil {

@@ -181,7 +181,9 @@ func TestQueryServiceSwap(t *testing.T) {
 
 func TestQueryServiceFromCollection(t *testing.T) {
 	ctx := context.Background()
-	res, err := MineContext(ctx, classic(t), WithMinSupport(0.4))
+	// A generator-tracking miner, so the stored collection serves the
+	// generic basis.
+	res, err := MineContext(ctx, classic(t), WithMinSupport(0.4), WithAlgorithm("genclose"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,9 @@ func TestQueryServiceBasisRules(t *testing.T) {
 
 func TestQueryServiceBasisRulesFromCollection(t *testing.T) {
 	ctx := context.Background()
-	res, err := MineContext(ctx, classic(t), WithMinSupport(0.4))
+	// A generator-tracking miner, so the stored collection serves the
+	// generic basis.
+	res, err := MineContext(ctx, classic(t), WithMinSupport(0.4), WithAlgorithm("genclose"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,7 +357,7 @@ func (r *Refresher) cycle(ctx context.Context, force bool) error {
 // not a failure.
 func (r *Refresher) incremental(ctx context.Context, ds DeltaSource) (bool, error) {
 	prev := r.qs.ServedResult()
-	if prev == nil || servedBasesNeedGenerators(r.qs) {
+	if prev == nil || r.qs.ServedBases().NeedsGenerators() {
 		// No resident lattice to extend, or the served bases need the
 		// minimal generators an incremental result cannot maintain.
 		return false, nil
@@ -423,23 +423,6 @@ func (r *Refresher) incremental(ctx context.Context, ds DeltaSource) (bool, erro
 	r.lastIncDur = dur
 	r.mu.Unlock()
 	return true, nil
-}
-
-// servedBasesNeedGenerators reports whether either served basis
-// declares a Generators requirement. Incremental results do not carry
-// generators, so such a service must be fed by full re-mines.
-func servedBasesNeedGenerators(qs *closedrules.QueryService) bool {
-	sel := qs.ServedBases()
-	for _, name := range []string{sel.Exact, sel.Approximate} {
-		if name == "" {
-			continue
-		}
-		b, err := closedrules.LookupBasis(name)
-		if err != nil || b.Requirements().Generators {
-			return true
-		}
-	}
-	return false
 }
 
 // fail records a cycle failure and returns err. A cancellation from

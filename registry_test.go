@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -220,8 +221,13 @@ func (customBasis) Build(ctx context.Context, in BasisInput) (RuleSet, error) {
 	return RuleSet{Rules: nil}, nil
 }
 
+// registerCustom registers customBasis once per test binary: -cpu=1,4
+// and -count=N run a test more than once in one process, and
+// registering a name twice panics by contract.
+var registerCustom sync.Once
+
 func TestRegisterBasisExtension(t *testing.T) {
-	RegisterBasis("test-custom", customBasis{})
+	registerCustom.Do(func() { RegisterBasis("test-custom", customBasis{}) })
 	found := false
 	for _, n := range Bases() {
 		if n == "test-custom" {

@@ -25,7 +25,10 @@ type Result struct {
 	minSup    int
 	minerName string
 	hasGens   bool
-	fc        *closedset.Set
+	// resolveGens applies WithGeneratorResolution to every basis build:
+	// set when the miner was defaulted rather than named.
+	resolveGens bool
+	fc          *closedset.Set
 
 	famOnce sync.Once
 	fam     *itemset.Family // lazily mined (Apriori) for FrequentItemsets and AllRules
@@ -64,8 +67,9 @@ func (r *Result) TracksGenerators() bool { return r.hasGens }
 // HasGenerators reports whether the result's closed itemsets carry
 // their minimal generators — true for generator-tracking miners
 // (close, a-close, titanic, genclose/pgenclose). Generator-requiring
-// bases on a generator-less result either fail with an explicit error
-// or, with WithGeneratorResolution, re-mine via genclose.
+// bases on a generator-less result re-mine via genclose when the miner
+// was defaulted or the call passes WithGeneratorResolution, and fail
+// with an explicit error otherwise.
 func (r *Result) HasGenerators() bool { return r.hasGens }
 
 // ClosedItemsets returns the frequent closed itemsets (FC), including
@@ -181,7 +185,7 @@ func (r *Result) buildInput(cfg basisConfig) basis.BuildInput {
 		IncludeEmptyAntecedent: cfg.includeEmpty,
 		Lattice:                r.latticeOf,
 	}
-	if cfg.genResolve && !r.hasGens {
+	if (cfg.genResolve || r.resolveGens) && !r.hasGens {
 		in.ResolveGenerators = r.resolveGenerators
 	}
 	return in
@@ -319,8 +323,8 @@ func (r *Result) LuxenburgerFull(minConf float64) ([]Rule, error) {
 
 // GenericBasis returns the generic basis for exact rules (minimal-
 // generator antecedents), the follow-on refinement of the same
-// authors. Requires a generator-tracking miner (close, a-close,
-// titanic).
+// authors. Requires a generator-tracking miner (genclose, close,
+// a-close, titanic) or a defaulted result, which resolves them.
 //
 // Deprecated: use Basis(ctx, "generic").
 func (r *Result) GenericBasis() ([]Rule, error) {
