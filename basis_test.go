@@ -63,9 +63,6 @@ func TestBasisOptionErrors(t *testing.T) {
 	if _, err := res.Basis(ctx, "luxenburger", WithMinConfidence(math.NaN())); err == nil {
 		t.Error("WithMinConfidence(NaN) accepted")
 	}
-	if _, err := res.Bases(math.NaN()); err == nil {
-		t.Error("Bases(NaN) accepted")
-	}
 	if _, err := res.Basis(ctx, "luxenburger", nil); err == nil {
 		t.Error("nil BasisOption accepted")
 	}
@@ -152,26 +149,27 @@ func TestDuquenneGuiguesMinesNoFamily(t *testing.T) {
 	}
 }
 
-// TestBasisEquivalenceClassic asserts byte-identical output between
-// every deprecated basis method and its registry-era replacement on
-// the paper's worked example.
+// TestBasisEquivalenceClassic asserts that the paper's worked example,
+// stored and loaded back with LoadResult, answers exactly as the mined
+// Result does.
 func TestBasisEquivalenceClassic(t *testing.T) {
 	d := namedClassic(t)
-	res, err := MineContext(context.Background(), d, WithMinSupport(0.4))
+	res, err := MineContext(context.Background(), d, WithMinSupport(0.4), WithAlgorithm("genclose"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertBasisEquivalence(t, res, d)
 }
 
-// TestBasisEquivalenceRandom repeats the equivalence proof across
-// random datasets, where empty bottoms and exact-rule edge cases show
-// up that the classic example lacks.
+// TestBasisEquivalenceRandom repeats the mined-versus-loaded proof
+// across random datasets, where empty bottoms and exact-rule edge cases
+// show up that the classic example lacks.
 func TestBasisEquivalenceRandom(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for iter := 0; iter < 10; iter++ {
 		d := testgen.Random(r, 25, 8, 0.45)
-		res, err := MineContext(context.Background(), d, WithAbsoluteMinSupport(1+r.Intn(3)))
+		res, err := MineContext(context.Background(), d,
+			WithAbsoluteMinSupport(1+r.Intn(3)), WithAlgorithm("genclose"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,71 +177,126 @@ func TestBasisEquivalenceRandom(t *testing.T) {
 	}
 }
 
-// assertBasisEquivalence checks that each legacy method and its
-// Result.Basis replacement produce byte-identical rule lists.
+// assertBasisEquivalence checks that a Result loaded from res's saved
+// closed itemsets answers exactly as res does: every built-in basis in
+// both variants at several thresholds, the pseudo-closed itemsets, the
+// derivation engine, supports and closures of every itemset over d's
+// items, and a QueryService's Rule, Recommend and BasisRules answers.
+// res must track generators, so that the generator bases are covered.
 func assertBasisEquivalence(t *testing.T, res *Result, d *Dataset) {
 	t.Helper()
 	ctx := context.Background()
-	for _, minConf := range []float64{0, 0.5, 0.8} {
-		legacy, err := res.Bases(minConf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := res.Basis(ctx, "duquenne-guigues")
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRules(t, d, "Bases.Exact", legacy.Exact, exact.Rules)
-		approx, err := res.Basis(ctx, "luxenburger", WithMinConfidence(minConf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRules(t, d, "Bases.Approximate", legacy.Approximate, approx.Rules)
-
-		full, err := res.LuxenburgerFull(minConf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fullRS, err := res.Basis(ctx, "luxenburger", WithMinConfidence(minConf), WithReduction(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameRules(t, d, "LuxenburgerFull", full, fullRS.Rules)
-
+	loaded := reload(t, res)
+	if loaded.NumTransactions() != res.NumTransactions() || loaded.HasGenerators() != res.HasGenerators() {
+		t.Fatalf("loaded (|O| %d, generators %v), mined (|O| %d, generators %v)",
+			loaded.NumTransactions(), loaded.HasGenerators(), res.NumTransactions(), res.HasGenerators())
+	}
+	minConfs := []float64{0, 0.5, 0.8}
+	for _, name := range []string{"duquenne-guigues", "luxenburger", "generic", "informative"} {
 		for _, reduced := range []bool{true, false} {
-			ib, err := res.InformativeBasis(minConf, reduced)
-			if err != nil {
-				t.Fatal(err)
+			for _, minConf := range minConfs {
+				opts := []BasisOption{WithMinConfidence(minConf), WithReduction(reduced)}
+				want, err := res.Basis(ctx, name, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := loaded.Basis(ctx, name, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s (reduced %v, conf %v): loaded differs:\nloaded:\n%smined:\n%s",
+						name, reduced, minConf, FormatRules(got.Rules, d), FormatRules(want.Rules, d))
+				}
 			}
-			ibRS, err := res.Basis(ctx, "informative", WithMinConfidence(minConf), WithReduction(reduced))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameRules(t, d, "InformativeBasis", ib, ibRS.Rules)
 		}
 	}
-	gb, err := res.GenericBasis()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gbRS, err := res.Basis(ctx, "generic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRules(t, d, "GenericBasis", gb, gbRS.Rules)
-}
 
-// assertSameRules requires two rule lists to be deeply equal and to
-// render byte-identically.
-func assertSameRules(t *testing.T, d *Dataset, label string, legacy, registry []Rule) {
-	t.Helper()
-	if !reflect.DeepEqual(legacy, registry) {
-		t.Errorf("%s: legacy and registry rules differ:\nlegacy:\n%sregistry:\n%s",
-			label, FormatRules(legacy, d), FormatRules(registry, d))
-		return
+	wantPC, err := res.PseudoClosedItemsets()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FormatRules(legacy, d) != FormatRules(registry, d) {
-		t.Errorf("%s: rendered output differs", label)
+	gotPC, err := loaded.PseudoClosedItemsets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotPC, wantPC) {
+		t.Errorf("pseudo-closed itemsets: loaded %v, mined %v", gotPC, wantPC)
+	}
+
+	wantEng, err := res.DerivationEngine(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotEng, err := loaded.DerivationEngine(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantQS, err := NewQueryService(res, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotQS, err := NewQueryService(loaded, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every itemset over d's items, frequent or not.
+	var subsets []Itemset
+	for mask := 0; mask < 1<<d.NumItems(); mask++ {
+		var x Itemset
+		for i := 0; i < d.NumItems(); i++ {
+			if mask&(1<<i) != 0 {
+				x = append(x, i)
+			}
+		}
+		subsets = append(subsets, x)
+	}
+	for _, x := range subsets {
+		gs, gok := loaded.Support(x)
+		ws, wok := res.Support(x)
+		gc, _ := loaded.Closure(x)
+		wc, _ := res.Closure(x)
+		if gs != ws || gok != wok || !reflect.DeepEqual(gc, wc) {
+			t.Errorf("%v: loaded (supp %d,%v, closure %v), mined (supp %d,%v, closure %v)",
+				x, gs, gok, gc.Items, ws, wok, wc.Items)
+		}
+		got, gerr := gotQS.Recommend(ctx, x, 3)
+		want, werr := wantQS.Recommend(ctx, x, 3)
+		if !reflect.DeepEqual(got, want) || (gerr == nil) != (werr == nil) {
+			t.Errorf("Recommend(%v): loaded %v (%v), mined %v (%v)", x, got, gerr, want, werr)
+		}
+		for _, y := range subsets {
+			if x.Intersect(y).Len() > 0 {
+				continue
+			}
+			gr, gerr := gotEng.Rule(x, y)
+			wr, werr := wantEng.Rule(x, y)
+			if !reflect.DeepEqual(gr, wr) || (gerr == nil) != (werr == nil) {
+				t.Errorf("engine %v → %v: loaded %v (%v), mined %v (%v)", x, y, gr, gerr, wr, werr)
+			}
+			gr, gerr = gotQS.Rule(ctx, x, y)
+			wr, werr = wantQS.Rule(ctx, x, y)
+			if !reflect.DeepEqual(gr, wr) || (gerr == nil) != (werr == nil) {
+				t.Errorf("Rule %v → %v: loaded %v (%v), mined %v (%v)", x, y, gr, gerr, wr, werr)
+			}
+		}
+	}
+
+	for _, name := range []string{"duquenne-guigues", "luxenburger", "generic", "informative"} {
+		for _, minConf := range minConfs {
+			got, err := gotQS.BasisRules(ctx, name, minConf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := wantQS.BasisRules(ctx, name, minConf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("BasisRules(%s, %v): loaded %v, mined %v", name, minConf, got.Rules, want.Rules)
+			}
+		}
 	}
 }
 

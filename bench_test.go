@@ -292,9 +292,7 @@ func benchE7(b *testing.B, d *dataset.Dataset, minSup, minConf float64) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := res.Bases(minConf); err != nil {
-			b.Fatal(err)
-		}
+		paperBases(b, res, minConf)
 	}
 }
 
@@ -309,18 +307,15 @@ func BenchmarkE7_EngineDerivation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bases, err := res.Bases(0)
+	_, approx := paperBases(b, res, 0)
+	eng, err := res.DerivationEngine(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := bases.Engine()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if len(bases.Approximate) == 0 {
+	if approx.Len() == 0 {
 		b.Skip("no approximate rules")
 	}
-	queries := bases.Approximate
+	queries := approx.Rules
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := queries[i%len(queries)]

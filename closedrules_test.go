@@ -96,19 +96,13 @@ func TestBasesClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases, err := res.Bases(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact, approx := paperBases(t, res, 0)
 	// DG = {A→C, B→E, E→B}; Lux reduction (non-∅) = 5 rules.
-	if len(bases.Exact) != 3 {
-		t.Fatalf("|DG| = %d, want 3: %v", len(bases.Exact), bases.Exact)
+	if exact.Len() != 3 {
+		t.Fatalf("|DG| = %d, want 3: %v", exact.Len(), exact.Rules)
 	}
-	if len(bases.Approximate) != 5 {
-		t.Fatalf("|Lux red| = %d, want 5: %v", len(bases.Approximate), bases.Approximate)
-	}
-	if bases.Size() != 8 {
-		t.Errorf("Size = %d", bases.Size())
+	if approx.Len() != 5 {
+		t.Fatalf("|Lux red| = %d, want 5: %v", approx.Len(), approx.Rules)
 	}
 
 	// Compare against all valid rules: the compression the paper is
@@ -117,9 +111,25 @@ func TestBasesClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) <= bases.Size() {
-		t.Errorf("bases (%d) not smaller than all rules (%d)", bases.Size(), len(all))
+	if size := exact.Len() + approx.Len(); len(all) <= size {
+		t.Errorf("bases (%d) not smaller than all rules (%d)", size, len(all))
 	}
+}
+
+// paperBases returns the paper's two bases of res: Duquenne–Guigues
+// and the reduced Luxenburger basis at minConf.
+func paperBases(t testing.TB, res *Result, minConf float64) (exact, approx *RuleSet) {
+	t.Helper()
+	ctx := context.Background()
+	exact, err := res.Basis(ctx, "duquenne-guigues")
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx, err = res.Basis(ctx, "luxenburger", WithMinConfidence(minConf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exact, approx
 }
 
 func TestEngineRoundTripViaFacade(t *testing.T) {
@@ -130,11 +140,7 @@ func TestEngineRoundTripViaFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bases, err := res.Bases(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := bases.Engine()
+		eng, err := res.DerivationEngine(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,18 +165,19 @@ func TestEngineRoundTripViaFacade(t *testing.T) {
 func TestLuxenburgerFullViaFacade(t *testing.T) {
 	d := classic(t)
 	res, _ := MineContext(context.Background(), d, WithMinSupport(0.4))
-	full, err := res.LuxenburgerFull(0)
+	ctx := context.Background()
+	full, err := res.Basis(ctx, "luxenburger", WithReduction(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(full) != 7 {
-		t.Fatalf("|Lux full| = %d, want 7", len(full))
+	if full.Len() != 7 {
+		t.Fatalf("|Lux full| = %d, want 7", full.Len())
 	}
-	filtered, err := res.LuxenburgerFull(0.7)
+	filtered, err := res.Basis(ctx, "luxenburger", WithMinConfidence(0.7), WithReduction(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range filtered {
+	for _, r := range filtered.Rules {
 		if r.Confidence() < 0.7 {
 			t.Errorf("rule %v below threshold", r)
 		}
@@ -180,32 +187,33 @@ func TestLuxenburgerFullViaFacade(t *testing.T) {
 func TestGenericAndInformativeViaFacade(t *testing.T) {
 	d := classic(t)
 	res, _ := MineContext(context.Background(), d, WithMinSupport(0.4))
-	gb, err := res.GenericBasis()
+	ctx := context.Background()
+	gb, err := res.Basis(ctx, "generic")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gb) != 7 {
-		t.Fatalf("|GB| = %d, want 7", len(gb))
+	if gb.Len() != 7 {
+		t.Fatalf("|GB| = %d, want 7", gb.Len())
 	}
-	ib, err := res.InformativeBasis(0, false)
+	ib, err := res.Basis(ctx, "informative", WithReduction(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ibRed, err := res.InformativeBasis(0, true)
+	ibRed, err := res.Basis(ctx, "informative")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ibRed) > len(ib) {
-		t.Errorf("reduced IB (%d) larger than IB (%d)", len(ibRed), len(ib))
+	if ibRed.Len() > ib.Len() {
+		t.Errorf("reduced IB (%d) larger than IB (%d)", ibRed.Len(), ib.Len())
 	}
 
 	// Charm-mined results cannot produce generator bases.
-	resCharm, _ := MineContext(context.Background(), d, WithMinSupport(0.4), WithAlgorithm("charm"))
-	if _, err := resCharm.GenericBasis(); err == nil {
-		t.Error("GenericBasis on Charm result should fail")
+	resCharm, _ := MineContext(ctx, d, WithMinSupport(0.4), WithAlgorithm("charm"))
+	if _, err := resCharm.Basis(ctx, "generic"); err == nil {
+		t.Error("generic basis on Charm result should fail")
 	}
-	if _, err := resCharm.InformativeBasis(0, true); err == nil {
-		t.Error("InformativeBasis on Charm result should fail")
+	if _, err := resCharm.Basis(ctx, "informative"); err == nil {
+		t.Error("informative basis on Charm result should fail")
 	}
 }
 
@@ -278,8 +286,8 @@ func TestFormatRulesUsesNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ := MineContext(context.Background(), named, WithMinSupport(0.4))
-	bases, _ := res.Bases(0)
-	out := FormatRules(bases.Exact, named)
+	exact, _ := paperBases(t, res, 0)
+	out := FormatRules(exact.Rules, named)
 	if !strings.Contains(out, "{A} → {C}") {
 		t.Errorf("FormatRules output:\n%s", out)
 	}
@@ -317,7 +325,7 @@ func TestResultConcurrentAccess(t *testing.T) {
 			if _, err := res.FrequentItemsets(); err != nil {
 				t.Error(err)
 			}
-			if _, err := res.Bases(0.5); err != nil {
+			if _, err := res.Basis(context.Background(), "luxenburger", WithMinConfidence(0.5)); err != nil {
 				t.Error(err)
 			}
 			if res.LatticeDOT() == "" {
@@ -342,10 +350,7 @@ func TestEndToEndMushroomRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases, err := res.Bases(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dg, lux := paperBases(t, res, 0.5)
 	all, err := res.AllRules(0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -359,11 +364,11 @@ func TestEndToEndMushroomRegime(t *testing.T) {
 	if exact == 0 {
 		t.Skip("no exact rules at this scale")
 	}
-	if len(bases.Exact) >= exact {
-		t.Errorf("DG (%d) not smaller than exact rules (%d)", len(bases.Exact), exact)
+	if dg.Len() >= exact {
+		t.Errorf("DG (%d) not smaller than exact rules (%d)", dg.Len(), exact)
 	}
-	if bases.Size() >= len(all) {
-		t.Errorf("bases (%d) not smaller than all rules (%d)", bases.Size(), len(all))
+	if size := dg.Len() + lux.Len(); size >= len(all) {
+		t.Errorf("bases (%d) not smaller than all rules (%d)", size, len(all))
 	}
 }
 
@@ -377,10 +382,7 @@ func TestEndToEndQuestRegime(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Weakly correlated: few or no exact rules.
-	bases, err := res.Bases(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	exact, approx := paperBases(t, res, 0.5)
 	fi, err := res.FrequentItemsets()
 	if err != nil {
 		t.Fatal(err)
@@ -389,5 +391,5 @@ func TestEndToEndQuestRegime(t *testing.T) {
 		t.Skip("no itemsets at this scale")
 	}
 	t.Logf("quest: |FI|=%d |FC|=%d |DG|=%d |LuxRed|=%d",
-		len(fi), res.NumClosed(), len(bases.Exact), len(bases.Approximate))
+		len(fi), res.NumClosed(), exact.Len(), approx.Len())
 }

@@ -214,39 +214,43 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "# %d rules\n", len(all))
 	case "bases":
-		bases, err := res.Bases(*minconf)
+		exact, err := res.Basis(ctx, "duquenne-guigues")
+		if err != nil {
+			return err
+		}
+		approx, err := res.Basis(ctx, "luxenburger", closedrules.WithMinConfidence(*minconf))
 		if err != nil {
 			return err
 		}
 		if *format != "text" {
-			all := append(append([]closedrules.Rule{}, bases.Exact...), bases.Approximate...)
+			all := append(append([]closedrules.Rule{}, exact.Rules...), approx.Rules...)
 			_, err := writeRules(w, all, *format)
 			return err
 		}
-		fmt.Fprintf(w, "## Duquenne–Guigues basis (exact rules): %d\n", len(bases.Exact))
-		for _, r := range bases.Exact {
+		fmt.Fprintf(w, "## Duquenne–Guigues basis (exact rules): %d\n", exact.Len())
+		for _, r := range exact.Rules {
 			fmt.Fprintln(w, r.Format(names))
 		}
 		fmt.Fprintf(w, "## Luxenburger reduction (approximate rules, conf ≥ %.2f): %d\n",
-			*minconf, len(bases.Approximate))
-		for _, r := range bases.Approximate {
+			*minconf, approx.Len())
+		for _, r := range approx.Rules {
 			fmt.Fprintln(w, r.Format(names))
 		}
 	case "generic":
-		gb, err := res.GenericBasis()
+		gb, err := res.Basis(ctx, "generic")
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "## Generic basis (exact rules): %d\n", len(gb))
-		for _, r := range gb {
+		fmt.Fprintf(w, "## Generic basis (exact rules): %d\n", gb.Len())
+		for _, r := range gb.Rules {
 			fmt.Fprintln(w, r.Format(names))
 		}
-		ib, err := res.InformativeBasis(*minconf, true)
+		ib, err := res.Basis(ctx, "informative", closedrules.WithMinConfidence(*minconf))
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "## Reduced informative basis (conf ≥ %.2f): %d\n", *minconf, len(ib))
-		for _, r := range ib {
+		fmt.Fprintf(w, "## Reduced informative basis (conf ≥ %.2f): %d\n", *minconf, ib.Len())
+		for _, r := range ib.Rules {
 			fmt.Fprintln(w, r.Format(names))
 		}
 	case "lattice":

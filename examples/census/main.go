@@ -39,41 +39,45 @@ func main() {
 	fmt.Printf("minsup 40%%: |FI| = %d, |FC| = %d  (|FI|/|FC| = %.1f — strongly correlated)\n",
 		len(fi), res.NumClosed(), float64(len(fi))/float64(res.NumClosed()))
 
+	exact, err := res.Basis(ctx, "duquenne-guigues")
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, minConf := range []float64{0.9, 0.7} {
 		all, err := res.AllRules(minConf)
 		if err != nil {
 			log.Fatal(err)
 		}
-		bases, err := res.Bases(minConf)
+		approx, err := res.Basis(ctx, "luxenburger", closedrules.WithMinConfidence(minConf))
 		if err != nil {
 			log.Fatal(err)
 		}
+		size := exact.Len() + approx.Len()
 		fmt.Printf("conf ≥ %.0f%%: %6d valid rules  →  basis %4d rules (%.1f× smaller)\n",
-			minConf*100, len(all), bases.Size(),
-			float64(len(all))/float64(bases.Size()))
+			minConf*100, len(all), size, float64(len(all))/float64(size))
 	}
 
 	// Exact rules: the functional dependencies the generator planted.
-	bases, err := res.Bases(0.7)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\nDuquenne–Guigues basis (the data's functional dependencies):")
-	for i, r := range bases.Exact {
+	for i, r := range exact.Rules {
 		if i == 8 {
-			fmt.Printf("  … and %d more\n", len(bases.Exact)-8)
+			fmt.Printf("  … and %d more\n", exact.Len()-8)
 			break
 		}
 		fmt.Println("  " + r.Format(ds.Names()))
 	}
 
 	// Ad-hoc query answered from the bases, not the data.
-	eng, err := bases.Engine()
+	eng, err := res.DerivationEngine(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(bases.Approximate) > 0 {
-		q := bases.Approximate[0]
+	approx, err := res.Basis(ctx, "luxenburger", closedrules.WithMinConfidence(0.7))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if approx.Len() > 0 {
+		q := approx.Rules[0]
 		r, err := eng.Rule(q.Antecedent, q.Consequent)
 		if err != nil {
 			log.Fatal(err)

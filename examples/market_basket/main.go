@@ -44,7 +44,11 @@ func main() {
 	fmt.Printf("frequent itemsets: %d  →  |FI|/|FC| = %.2f (weakly correlated: ≈1)\n",
 		len(fi), float64(len(fi))/float64(res.NumClosed()))
 
-	bases, err := res.Bases(0.5)
+	exact, err := res.Basis(ctx, "duquenne-guigues")
+	if err != nil {
+		log.Fatal(err)
+	}
+	approx, err := res.Basis(ctx, "luxenburger", closedrules.WithMinConfidence(0.5))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("valid rules @conf 50%%: %d   bases: %d exact + %d approximate\n",
-		len(all), len(bases.Exact), len(bases.Approximate))
+		len(all), exact.Len(), approx.Len())
 
 	// Rank the basis rules by lift to surface the interesting ones.
 	type scored struct {
@@ -61,7 +65,7 @@ func main() {
 		lift float64
 	}
 	var ranked []scored
-	for _, r := range bases.Approximate {
+	for _, r := range approx.Rules {
 		m, err := closedrules.RuleMetrics(r, ds.NumTransactions())
 		if err != nil {
 			continue

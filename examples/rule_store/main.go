@@ -36,19 +36,23 @@ func main() {
 		res.NumClosed(), fcStore.Len())
 
 	// …and the bases as JSON for other tools.
-	bases, err := res.Bases(0.6)
+	exact, err := res.Basis(ctx, "duquenne-guigues")
+	if err != nil {
+		log.Fatal(err)
+	}
+	approx, err := res.Basis(ctx, "luxenburger", closedrules.WithMinConfidence(0.6))
 	if err != nil {
 		log.Fatal(err)
 	}
 	var ruleStore bytes.Buffer
-	all := append(append([]closedrules.Rule{}, bases.Exact...), bases.Approximate...)
+	all := append(append([]closedrules.Rule{}, exact.Rules...), approx.Rules...)
 	if err := closedrules.WriteRulesJSON(&ruleStore, all); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stored %d basis rules as JSON (%d bytes)\n", len(all), ruleStore.Len())
 
 	// Reload both stores.
-	closed, err := closedrules.LoadClosedItemsets(bytes.NewReader(fcStore.Bytes()))
+	loaded, err := closedrules.LoadResult(bytes.NewReader(fcStore.Bytes()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +60,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reloaded %d closed itemsets, %d rules\n\n", len(closed), len(rules))
+	fmt.Printf("reloaded %d closed itemsets, %d rules\n\n", loaded.NumClosed(), len(rules))
 
 	// Query the reloaded rules: the strongest associations by lift,
 	// and everything that predicts a chosen attribute value.
@@ -76,14 +80,12 @@ func main() {
 		fmt.Println("  " + r.Format(ds.Names()))
 	}
 
-	// Stand up a serving layer over the reloaded collection: the
+	// Stand up a serving layer over the reloaded closed itemsets: the
 	// QueryService answers concurrent support/confidence/recommendation
-	// queries straight from the condensed representation.
-	col, err := closedrules.NewClosedCollection(closed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	qs, err := closedrules.NewQueryServiceFromCollection(col, 0.6)
+	// queries straight from the condensed representation, recommending
+	// from the generic basis the stored generators allow.
+	qs, err := closedrules.NewQueryServiceWithBases(loaded, 0.6,
+		closedrules.BasisSelection{Exact: "generic"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,13 +29,14 @@ var ErrIncremental = errors.New("closedrules: incremental update not applicable"
 // algorithm selection is ignored (the result's MinerName is
 // "incremental") and the resolved absolute threshold must be at least
 // prev's — true by construction for a relative threshold under appends.
-// Generators are not maintained: the result has TracksGenerators() ==
+// Generators are not maintained: the result has HasGenerators() ==
 // false, so bases that need generators (generic, informative) require a
 // full re-mine instead — which a result descending from a defaulted
 // MineContext runs by itself, as genclose generator resolution.
 //
-// Refusals — nil or empty inputs, a lowered threshold, a threshold
-// above the new transaction count — return an error wrapping
+// Refusals — nil or empty inputs, a prev read by LoadResult (it has
+// no transactions to extend), a lowered threshold, a threshold above
+// the new transaction count — return an error wrapping
 // ErrIncremental. Context cancellation returns ctx.Err() unwrapped.
 func UpdateAppend(ctx context.Context, prev *Result, appended *Dataset, opts ...MineOption) (*Result, error) {
 	if prev == nil {
@@ -64,7 +65,7 @@ func UpdateAppend(ctx context.Context, prev *Result, appended *Dataset, opts ...
 	if err != nil {
 		return nil, err
 	}
-	fc, err := incremental.Update(ctx, prev.fc, prev.minSup, full, prev.d.NumTransactions(), minSup)
+	fc, err := incremental.Update(ctx, prev.fc, prev.minSup, full, prev.numTx, minSup)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, err
@@ -73,6 +74,7 @@ func UpdateAppend(ctx context.Context, prev *Result, appended *Dataset, opts ...
 	}
 	return &Result{
 		d:           full,
+		numTx:       full.NumTransactions(),
 		minSup:      minSup,
 		minerName:   "incremental",
 		hasGens:     false,

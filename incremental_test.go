@@ -138,7 +138,7 @@ func TestUpdateAppendCorrelated(t *testing.T) {
 	if inc.MinerName() != "incremental" {
 		t.Errorf("MinerName = %q, want incremental", inc.MinerName())
 	}
-	if inc.TracksGenerators() {
+	if inc.HasGenerators() {
 		t.Error("incremental result claims generators")
 	}
 }

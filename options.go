@@ -202,6 +202,7 @@ func MineContext(ctx context.Context, d *Dataset, opts ...MineOption) (*Result, 
 	}
 	return &Result{
 		d:           d,
+		numTx:       d.NumTransactions(),
 		minSup:      minSup,
 		minerName:   miner.Canonical(cfg.algorithm),
 		hasGens:     m.TracksGenerators(),

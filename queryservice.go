@@ -89,11 +89,9 @@ func (b BasisSelection) withDefaults() BasisSelection {
 // service answers from; Swap replaces it wholesale. Only the recCache
 // stripes and the cache counters mutate after build.
 type serviceState struct {
-	numTx    int
 	minConf  float64
 	bases    BasisSelection // provenance of recRules (canonical names)
-	res      *Result        // nil for collection-backed services
-	fc       *closedset.Set
+	res      *Result
 	recRules []Rule // basis rules (exact + approximate) for Recommend
 	recCache *recCache
 
@@ -141,11 +139,11 @@ func (s ServiceStats) SnapshotHitRatio() float64 {
 	return float64(s.SnapshotCacheHits) / float64(total)
 }
 
-// NewQueryService builds a service from a mining result, serving the
-// paper's default basis pair (Duquenne–Guigues + reduced Luxenburger).
-// minConf filters the approximate basis rules served by Recommend;
-// Support and Confidence are unaffected by it (they derive exact
-// measures from the closed itemsets).
+// NewQueryService builds a service from a Result, mined or read by
+// LoadResult, serving the paper's default basis pair (Duquenne–Guigues
+// + reduced Luxenburger). minConf filters the approximate basis rules
+// served by Recommend; Support and Confidence are unaffected by it
+// (they derive exact measures from the closed itemsets).
 func NewQueryService(res *Result, minConf float64) (*QueryService, error) {
 	return NewQueryServiceWithBases(res, minConf, BasisSelection{})
 }
@@ -153,25 +151,11 @@ func NewQueryService(res *Result, minConf float64) (*QueryService, error) {
 // NewQueryServiceWithBases is NewQueryService with an explicit basis
 // pair: Recommend serves the rules of the named exact and approximate
 // bases instead of the defaults. Generator-based bases ("generic",
-// "informative") need a generator-tracking miner, or a Result mined
-// with the default miner, which resolves them with one genclose
-// re-mine.
+// "informative") need a generator-tracking miner, a Result mined with
+// the default miner, which resolves them with one genclose re-mine, or
+// a loaded Result whose every closed itemset carries its generators.
 func NewQueryServiceWithBases(res *Result, minConf float64, sel BasisSelection) (*QueryService, error) {
 	st, err := stateFromResult(res, minConf, sel)
-	if err != nil {
-		return nil, err
-	}
-	qs := &QueryService{}
-	qs.st.Store(st)
-	return qs, nil
-}
-
-// NewQueryServiceFromCollection builds a service from a detached
-// closed-itemset collection (the "mine once, serve later" workflow).
-// Exact rules come from the generic basis when the collection carries
-// generators; otherwise Recommend serves approximate rules only.
-func NewQueryServiceFromCollection(col *ClosedCollection, minConf float64) (*QueryService, error) {
-	st, err := stateFromCollection(col, minConf)
 	if err != nil {
 		return nil, err
 	}
@@ -201,43 +185,9 @@ func stateFromResult(res *Result, minConf float64, sel BasisSelection) (*service
 	recRules = append(recRules, exact.Rules...)
 	recRules = append(recRules, approx.Rules...)
 	return &serviceState{
-		numTx:    res.Dataset().NumTransactions(),
 		minConf:  minConf,
 		bases:    BasisSelection{Exact: exact.Basis, Approximate: approx.Basis},
 		res:      res,
-		fc:       res.fc,
-		recRules: recRules,
-		recCache: newRecCache(),
-	}, nil
-}
-
-func stateFromCollection(col *ClosedCollection, minConf float64) (*serviceState, error) {
-	if col == nil {
-		return nil, fmt.Errorf("closedrules: nil ClosedCollection")
-	}
-	if !(minConf >= 0 && minConf <= 1) { // negated AND also rejects NaN
-		return nil, fmt.Errorf("closedrules: minConf %v outside [0,1]", minConf)
-	}
-	var recRules []Rule
-	bases := BasisSelection{Approximate: "luxenburger"}
-	if len(col.set.AllGenerators()) > 0 {
-		exact, err := col.GenericBasis()
-		if err != nil {
-			return nil, err
-		}
-		recRules = append(recRules, exact...)
-		bases.Exact = "generic"
-	}
-	approx, err := col.LuxenburgerReduction(minConf)
-	if err != nil {
-		return nil, err
-	}
-	recRules = append(recRules, approx...)
-	return &serviceState{
-		numTx:    col.NumTransactions(),
-		minConf:  minConf,
-		bases:    bases,
-		fc:       col.set,
 		recRules: recRules,
 		recCache: newRecCache(),
 	}, nil
@@ -303,8 +253,7 @@ const (
 func (qs *QueryService) MemoryEstimate() int64 {
 	st := qs.st.Load()
 	var b int64
-	if st.res != nil {
-		d := st.res.Dataset()
+	if d := st.res.Dataset(); d != nil {
 		for _, tx := range d.Transactions() {
 			b += int64(tx.Len())*estPerItem + estPerTransaction
 		}
@@ -312,7 +261,7 @@ func (qs *QueryService) MemoryEstimate() int64 {
 			b += int64(len(name)) + 16
 		}
 	}
-	st.fc.Each(func(c closedset.Closed) bool {
+	st.res.fc.Each(func(c closedset.Closed) bool {
 		b += int64(c.Items.Len())*2*estPerItem + estPerClosed // items + interned key
 		for _, g := range c.Generators {
 			b += int64(g.Len())*estPerItem + estPerGenerator
@@ -328,7 +277,7 @@ func (qs *QueryService) MemoryEstimate() int64 {
 
 // NumTransactions returns |O| of the currently served dataset.
 func (qs *QueryService) NumTransactions() int {
-	return qs.st.Load().numTx
+	return qs.st.Load().res.NumTransactions()
 }
 
 // MinConfidence returns the confidence threshold of the served
@@ -337,18 +286,17 @@ func (qs *QueryService) MinConfidence() float64 {
 	return qs.st.Load().minConf
 }
 
-// ServedResult returns the mining Result backing the current snapshot,
-// or nil for a collection-backed service. It is the anchor of the
-// incremental refresh path: UpdateAppend extends the served result with
-// an appended batch, and Swap installs its replacement. The result is
-// shared with the serving path — treat it as read-only.
+// ServedResult returns the Result backing the current snapshot. It is
+// the anchor of the incremental refresh path: UpdateAppend extends the
+// served result with an appended batch, and Swap installs its
+// replacement. The result is shared with the serving path — treat it
+// as read-only.
 func (qs *QueryService) ServedResult() *Result {
 	return qs.st.Load().res
 }
 
 // ServedBases returns the basis pair the current snapshot serves
-// Recommend from. For a collection-backed service without generators
-// the Exact slot is empty (no exact basis is derivable).
+// Recommend from.
 func (qs *QueryService) ServedBases() BasisSelection {
 	return qs.st.Load().bases
 }
@@ -356,8 +304,6 @@ func (qs *QueryService) ServedBases() BasisSelection {
 // BasisRules constructs the named basis from the snapshot currently
 // being served, at the given confidence threshold — the query-side
 // door to every registered basis (the HTTP layer's /rules?basis=).
-// It requires a result-backed service (NewQueryService or Swap); a
-// collection-backed snapshot cannot build arbitrary bases and errors.
 // Outputs are memoized on the snapshot's Result, so repeated requests
 // for one basis are cheap; callers must not mutate the returned rules.
 func (qs *QueryService) BasisRules(ctx context.Context, name string, minConf float64) (*RuleSet, error) {
@@ -372,14 +318,11 @@ func (qs *QueryService) BasisRulesWithN(ctx context.Context, name string, minCon
 		return nil, 0, err
 	}
 	st := qs.st.Load()
-	if st.res == nil {
-		return nil, 0, fmt.Errorf("closedrules: basis construction needs the mining result; this service was built from a detached collection")
-	}
 	rs, err := st.res.Basis(ctx, name, WithMinConfidence(minConf))
 	if err != nil {
 		return nil, 0, err
 	}
-	return rs, st.numTx, nil
+	return rs, st.res.NumTransactions(), nil
 }
 
 // NumRules returns the number of basis rules available to Recommend.
@@ -393,7 +336,7 @@ func (qs *QueryService) Support(ctx context.Context, x Itemset) (support int, ok
 	if err := ctx.Err(); err != nil {
 		return 0, false, err
 	}
-	s, ok := qs.st.Load().fc.SupportOf(x)
+	s, ok := qs.st.Load().res.fc.SupportOf(x)
 	return s, ok, nil
 }
 
@@ -427,7 +370,7 @@ func (qs *QueryService) RuleWithN(ctx context.Context, antecedent, consequent It
 	}
 	st := qs.st.Load()
 	r, err := ruleFrom(st, antecedent, consequent)
-	return r, st.numTx, err
+	return r, st.res.NumTransactions(), err
 }
 
 // ruleFrom reconstructs the measured rule from one snapshot.
@@ -436,11 +379,11 @@ func ruleFrom(st *serviceState, antecedent, consequent Itemset) (Rule, error) {
 		return Rule{}, fmt.Errorf("closedrules: antecedent and consequent overlap")
 	}
 	u := antecedent.Union(consequent)
-	supU, ok := st.fc.SupportOf(u)
+	supU, ok := st.res.fc.SupportOf(u)
 	if !ok {
 		return Rule{}, fmt.Errorf("closedrules: support of %v not derivable (not frequent at the mining threshold)", u)
 	}
-	supA, ok := st.fc.SupportOf(antecedent)
+	supA, ok := st.res.fc.SupportOf(antecedent)
 	if !ok {
 		return Rule{}, fmt.Errorf("closedrules: support of %v not derivable (not frequent at the mining threshold)", antecedent)
 	}
@@ -450,7 +393,7 @@ func ruleFrom(st *serviceState, antecedent, consequent Itemset) (Rule, error) {
 		Support:           supU,
 		AntecedentSupport: supA,
 	}
-	if supC, ok := st.fc.SupportOf(consequent); ok {
+	if supC, ok := st.res.fc.SupportOf(consequent); ok {
 		r.ConsequentSupport = supC
 	}
 	return r, nil
@@ -481,7 +424,7 @@ func (qs *QueryService) RecommendWithN(ctx context.Context, observed Itemset, k 
 		st.cacheHits.Add(1)
 		// Hand out a copy: a caller re-sorting its result must not
 		// corrupt the ranking served to the next cache hit.
-		return append([]Rule(nil), cached...), st.numTx, nil
+		return append([]Rule(nil), cached...), st.res.NumTransactions(), nil
 	}
 	qs.cacheMisses.Add(1)
 	st.cacheMisses.Add(1)
@@ -490,11 +433,11 @@ func (qs *QueryService) RecommendWithN(ctx context.Context, observed Itemset, k 
 	novel := rules.Filter(applicable, func(r Rule) bool {
 		return !observed.ContainsAll(r.Consequent)
 	})
-	top := rules.TopBy(novel, k, rules.ByLift(st.numTx))
+	top := rules.TopBy(novel, k, rules.ByLift(st.res.NumTransactions()))
 
 	// The state may have been swapped while we computed; caching into
 	// the old snapshot's stripes is still correct (they are keyed to
 	// that snapshot and become garbage with it).
 	st.recCache.put(key, top)
-	return append([]Rule(nil), top...), st.numTx, nil
+	return append([]Rule(nil), top...), st.res.NumTransactions(), nil
 }

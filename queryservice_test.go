@@ -1,7 +1,6 @@
 package closedrules
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -181,21 +180,8 @@ func TestQueryServiceSwap(t *testing.T) {
 
 func TestQueryServiceFromCollection(t *testing.T) {
 	ctx := context.Background()
-	// A generator-tracking miner, so the stored collection serves the
-	// generic basis.
-	res, err := MineContext(ctx, classic(t), WithMinSupport(0.4), WithAlgorithm("genclose"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.SaveClosedItemsets(&buf); err != nil {
-		t.Fatal(err)
-	}
-	col, err := ReadClosedCollection(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := NewQueryServiceFromCollection(col, 0.5)
+	_, loaded := storedCollection(t)
+	qs, err := NewQueryService(loaded, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,32 +267,26 @@ func TestQueryServiceBasisRules(t *testing.T) {
 
 func TestQueryServiceBasisRulesFromCollection(t *testing.T) {
 	ctx := context.Background()
-	// A generator-tracking miner, so the stored collection serves the
-	// generic basis.
-	res, err := MineContext(ctx, classic(t), WithMinSupport(0.4), WithAlgorithm("genclose"))
+	// The stored collection carries generators, so a service over it
+	// can build every basis, and serves the paper's pair by default.
+	_, loaded := storedCollection(t)
+	qs, err := NewQueryService(loaded, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.SaveClosedItemsets(&buf); err != nil {
-		t.Fatal(err)
+	if sel := qs.ServedBases(); sel != defaultBasisSelection {
+		t.Errorf("ServedBases = %+v, want %+v", sel, defaultBasisSelection)
 	}
-	col, err := ReadClosedCollection(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs, err := NewQueryServiceFromCollection(col, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A collection-backed snapshot records its served pair but cannot
-	// build arbitrary bases (no mining result behind it).
-	sel := qs.ServedBases()
-	if sel.Exact != "generic" || sel.Approximate != "luxenburger" {
-		t.Errorf("ServedBases = %+v, want generic/luxenburger", sel)
-	}
-	if _, err := qs.BasisRules(ctx, "luxenburger", 0.5); err == nil {
-		t.Error("BasisRules on a collection-backed service accepted")
+	for name, want := range map[string]int{
+		"duquenne-guigues": 3, "luxenburger": 5, "generic": 7, "informative": 7,
+	} {
+		rs, err := qs.BasisRules(ctx, name, 0.5)
+		if err != nil {
+			t.Fatalf("BasisRules(%s): %v", name, err)
+		}
+		if rs.Len() != want {
+			t.Errorf("BasisRules(%s, 0.5) has %d rules, want %d", name, rs.Len(), want)
+		}
 	}
 }
 

@@ -339,6 +339,49 @@ func TestIncrementalGeneratorBasisGate(t *testing.T) {
 	}
 }
 
+// TestIncrementalLoadedResultRemines: a service over a Result read by
+// LoadResult has no transactions to extend, so its first polled cycle
+// over an append re-mines in full and swaps in the mined result.
+func TestIncrementalLoadedResultRemines(t *testing.T) {
+	ctx := context.Background()
+	var saved strings.Builder
+	if err := classicService(t).ServedResult().SaveClosedItemsets(&saved); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := closedrules.LoadResult(strings.NewReader(saved.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := closedrules.NewQueryService(loaded, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeClassic(t)
+	src := NewFileSource(path)
+	if _, err := src.Load(ctx); err != nil {
+		t.Fatal(err)
+	}
+	src.Commit()
+	r, err := New(qs, Config{Source: src, MineOptions: mineOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendFile(t, path, "0 1 2 4\n")
+	if err := r.cycle(ctx, false); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.IncrementalSuccesses != 0 || st.IncrementalFallbacks != 1 || st.Successes != 1 {
+		t.Fatalf("loaded-result service: %+v", st)
+	}
+	if qs.NumTransactions() != 6 {
+		t.Fatalf("serving %d transactions, want 6", qs.NumTransactions())
+	}
+	if got := qs.ServedResult().MinerName(); got == "loaded" || got == "incremental" {
+		t.Fatalf("served miner = %q, want a full mine", got)
+	}
+}
+
 // TestIncrementalCommentOnlyAppendSkips: an append that parses to zero
 // new transactions commits the new epoch and records a skip.
 func TestIncrementalCommentOnlyAppendSkips(t *testing.T) {

@@ -357,9 +357,9 @@ func (r *Refresher) cycle(ctx context.Context, force bool) error {
 // not a failure.
 func (r *Refresher) incremental(ctx context.Context, ds DeltaSource) (bool, error) {
 	prev := r.qs.ServedResult()
-	if prev == nil || r.qs.ServedBases().NeedsGenerators() {
-		// No resident lattice to extend, or the served bases need the
-		// minimal generators an incremental result cannot maintain.
+	if r.qs.ServedBases().NeedsGenerators() {
+		// The served bases need the minimal generators an incremental
+		// result cannot maintain.
 		return false, nil
 	}
 	delta, ok, err := ds.Deltas(ctx)
@@ -384,7 +384,7 @@ func (r *Refresher) incremental(ctx context.Context, ds DeltaSource) (bool, erro
 		r.mu.Unlock()
 		return true, nil
 	}
-	if n := prev.Dataset().NumTransactions(); n == 0 || float64(dn) > r.cfg.IncrementalMaxRatio*float64(n) {
+	if n := prev.NumTransactions(); n == 0 || float64(dn) > r.cfg.IncrementalMaxRatio*float64(n) {
 		// Oversized batch: past the crossover a fresh mine is cheaper
 		// than enumerating the delta's projections.
 		r.mu.Lock()
@@ -398,8 +398,9 @@ func (r *Refresher) incremental(ctx context.Context, ds DeltaSource) (bool, erro
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return true, r.fail(fmt.Errorf("refresh: incremental update: %w", err))
 		}
-		// The engine refused (lowered threshold, bad options): re-mine
-		// in full within this same cycle.
+		// The engine refused (lowered threshold, bad options, a
+		// loaded result without transactions): re-mine in full within
+		// this same cycle.
 		r.mu.Lock()
 		r.incFallback++
 		r.mu.Unlock()

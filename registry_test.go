@@ -133,15 +133,15 @@ func TestTracksGenerators(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.TracksGenerators() != want {
-			t.Errorf("%s: TracksGenerators() = %v, want %v", name, res.TracksGenerators(), want)
+		if res.HasGenerators() != want {
+			t.Errorf("%s: HasGenerators() = %v, want %v", name, res.HasGenerators(), want)
 		}
-		_, err = res.GenericBasis()
+		_, err = res.Basis(context.Background(), "generic")
 		if want && err != nil {
-			t.Errorf("%s: GenericBasis: %v", name, err)
+			t.Errorf("%s: generic basis: %v", name, err)
 		}
 		if !want && err == nil {
-			t.Errorf("%s: GenericBasis accepted without generators", name)
+			t.Errorf("%s: generic basis accepted without generators", name)
 		}
 	}
 }

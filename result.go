@@ -2,6 +2,7 @@ package closedrules
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -17,11 +18,14 @@ import (
 	"closedrules/internal/rules"
 )
 
-// Result holds the outcome of a closed-itemset mining run. Frequent
-// itemsets, the iceberg lattice, rules and bases are derived lazily on
-// first use and cached. Result is safe for concurrent use.
+// Result holds a family of frequent closed itemsets: the outcome of a
+// mining run, or closed itemsets stored by SaveClosedItemsets and read
+// back with LoadResult. Frequent itemsets, the iceberg lattice, rules
+// and bases are derived lazily on first use and cached. Result is safe
+// for concurrent use.
 type Result struct {
-	d         *Dataset
+	d         *Dataset // nil for a loaded result
+	numTx     int
 	minSup    int
 	minerName string
 	hasGens   bool
@@ -49,27 +53,31 @@ type Result struct {
 	basisCache sync.Map
 }
 
-// Dataset returns the mined dataset.
+// Dataset returns the mined dataset, or nil for a result read by
+// LoadResult.
 func (r *Result) Dataset() *Dataset { return r.d }
+
+// NumTransactions returns |O|, the number of transactions the closed
+// itemsets were mined from. A loaded result reads it off the support
+// of the bottom element h(∅).
+func (r *Result) NumTransactions() int { return r.numTx }
 
 // MinSupport returns the absolute minimum support count used.
 func (r *Result) MinSupport() int { return r.minSup }
 
 // MinerName returns the registry name of the closed-itemset miner that
-// produced the result.
+// produced the result: "incremental" for UpdateAppend and "loaded" for
+// LoadResult.
 func (r *Result) MinerName() string { return r.minerName }
 
-// TracksGenerators reports whether the producing miner recorded the
-// minimal generators of each closed itemset (required by the generic
-// and informative bases).
-func (r *Result) TracksGenerators() bool { return r.hasGens }
-
-// HasGenerators reports whether the result's closed itemsets carry
-// their minimal generators — true for generator-tracking miners
-// (close, a-close, titanic, genclose/pgenclose). Generator-requiring
-// bases on a generator-less result re-mine via genclose when the miner
-// was defaulted or the call passes WithGeneratorResolution, and fail
-// with an explicit error otherwise.
+// HasGenerators reports whether every closed itemset of the result
+// carries its minimal generators — true for generator-tracking miners
+// (close, a-close, titanic, genclose/pgenclose) and for a loaded file
+// saved from one. Generator-requiring bases on a generator-less mined
+// result re-mine via genclose when the miner was defaulted or the call
+// passes WithGeneratorResolution, and fail with an explicit error
+// otherwise; a loaded result has no transactions to re-mine and always
+// fails.
 func (r *Result) HasGenerators() bool { return r.hasGens }
 
 // ClosedItemsets returns the frequent closed itemsets (FC), including
@@ -90,8 +98,16 @@ func (r *Result) Closure(x Itemset) (ClosedItemset, bool) { return r.fc.ClosureO
 // frequent.
 func (r *Result) Support(x Itemset) (int, bool) { return r.fc.SupportOf(x) }
 
+// errNoTransactions refuses, on a result read by LoadResult, the
+// operations that count itemsets in the transactions themselves.
+var errNoTransactions = errors.New("closedrules: the result was loaded from closed itemsets without its transactions; mine the dataset to enumerate frequent itemsets or all rules")
+
 func (r *Result) family() (*itemset.Family, error) {
 	r.famOnce.Do(func() {
+		if r.d == nil {
+			r.famErr = errNoTransactions
+			return
+		}
 		r.fam, _, r.famErr = apriori.Mine(r.d, r.minSup)
 	})
 	return r.fam, r.famErr
@@ -127,9 +143,14 @@ func (r *Result) AllRules(minConf float64) ([]Rule, error) {
 	return rules.Generate(fam, minConf)
 }
 
-// LatticeDOT renders the iceberg lattice in Graphviz format.
+// LatticeDOT renders the iceberg lattice in Graphviz format, with item
+// names when the result has its dataset.
 func (r *Result) LatticeDOT() string {
-	return r.latticeOf().DOT(r.d.Names())
+	var names []string
+	if r.d != nil {
+		names = r.d.Names()
+	}
+	return r.latticeOf().DOT(names)
 }
 
 // LatticeEdges returns the Hasse edges of the iceberg lattice as
@@ -176,7 +197,7 @@ func (r *Result) resolveGenerators(ctx context.Context) (*closedset.Set, error) 
 // the given construction options.
 func (r *Result) buildInput(cfg basisConfig) basis.BuildInput {
 	in := basis.BuildInput{
-		NumTx:                  r.d.NumTransactions(),
+		NumTx:                  r.numTx,
 		FC:                     r.fc,
 		HasGenerators:          r.hasGens,
 		MinerName:              r.minerName,
@@ -185,7 +206,7 @@ func (r *Result) buildInput(cfg basisConfig) basis.BuildInput {
 		IncludeEmptyAntecedent: cfg.includeEmpty,
 		Lattice:                r.latticeOf,
 	}
-	if (cfg.genResolve || r.resolveGens) && !r.hasGens {
+	if (cfg.genResolve || r.resolveGens) && !r.hasGens && r.d != nil {
 		in.ResolveGenerators = r.resolveGenerators
 	}
 	return in
@@ -222,9 +243,9 @@ func (r *Result) Basis(ctx context.Context, name string, opts ...BasisOption) (*
 	return r.basisWith(ctx, name, cfg)
 }
 
-// basisWith is Basis after option resolution; internal callers (the
-// derivation engine, the legacy wrappers) use it to reach the
-// IncludeEmptyAntecedent variants the exported options do not expose.
+// basisWith is Basis after option resolution; the derivation engine
+// uses it to reach the IncludeEmptyAntecedent variants the exported
+// options do not expose.
 // Only the unfiltered (threshold-0) construction is built and cached;
 // the requested confidence threshold is applied as a per-rule filter
 // on the way out, per the Builder contract. This keeps the cache key
@@ -253,108 +274,11 @@ func (r *Result) basisWith(ctx context.Context, name string, cfg basisConfig) (*
 	return &filtered, nil
 }
 
-// BasisPair holds the paper's two bases: Exact is the Duquenne–Guigues
-// basis (Theorem 1) and Approximate the transitive reduction of the
-// Luxenburger basis at the chosen confidence (Theorem 2). Together
-// they are a minimal non-redundant generating set for all valid rules.
-type BasisPair struct {
-	// Exact is the Duquenne–Guigues basis (confidence-1 rules).
-	Exact []Rule
-	// Approximate is the reduced Luxenburger basis at the requested
-	// confidence.
-	Approximate []Rule
-
-	numTx int
-	// unfiltered copies retained so the derivation engine sees the
-	// complete diagram regardless of display thresholds.
-	dgAll  []Rule
-	luxAll []Rule
-}
-
-// Bases computes both of the paper's bases. minConf filters the
-// approximate basis; exact rules always have confidence 1. Rules with
-// an empty antecedent (possible only for the exact rule ∅ → h(∅) and
-// approximate rules out of an empty bottom) are excluded from the
-// exported lists but kept internally for derivation.
-//
-// Deprecated: use Basis(ctx, "duquenne-guigues") and Basis(ctx,
-// "luxenburger", WithMinConfidence(minConf)), which resolve through
-// the basis registry and carry provenance.
-func (r *Result) Bases(minConf float64) (*BasisPair, error) {
-	if !(minConf >= 0 && minConf <= 1) { // negated AND also rejects NaN
-		return nil, fmt.Errorf("closedrules: minConfidence %v outside [0,1]", minConf)
-	}
-	ctx := context.Background()
-	dg, err := r.basisWith(ctx, "duquenne-guigues", basisConfig{reduced: true, includeEmpty: true})
-	if err != nil {
-		return nil, err
-	}
-	// One lattice walk builds the unfiltered diagram; the displayed
-	// basis is filtered from it in-process rather than re-walked.
-	lux, err := r.basisWith(ctx, "luxenburger", basisConfig{reduced: true, includeEmpty: true})
-	if err != nil {
-		return nil, err
-	}
-	approximate := rules.Filter(lux.Rules, func(ru Rule) bool {
-		return ru.Antecedent.Len() > 0 && ru.Confidence() >= minConf
-	})
-	return &BasisPair{
-		Exact:       core.DropEmptyAntecedent(dg.Rules),
-		Approximate: approximate,
-		numTx:       r.d.NumTransactions(),
-		dgAll:       dg.Rules,
-		luxAll:      lux.Rules,
-	}, nil
-}
-
-// LuxenburgerFull returns the unreduced Luxenburger basis: one rule
-// per comparable pair of frequent closed itemsets.
-//
-// Deprecated: use Basis(ctx, "luxenburger", WithMinConfidence(minConf),
-// WithReduction(false)).
-func (r *Result) LuxenburgerFull(minConf float64) ([]Rule, error) {
-	rs, err := r.Basis(context.Background(), "luxenburger",
-		WithMinConfidence(minConf), WithReduction(false))
-	if err != nil {
-		return nil, err
-	}
-	return rs.Rules, nil
-}
-
-// GenericBasis returns the generic basis for exact rules (minimal-
-// generator antecedents), the follow-on refinement of the same
-// authors. Requires a generator-tracking miner (genclose, close,
-// a-close, titanic) or a defaulted result, which resolves them.
-//
-// Deprecated: use Basis(ctx, "generic").
-func (r *Result) GenericBasis() ([]Rule, error) {
-	rs, err := r.Basis(context.Background(), "generic")
-	if err != nil {
-		return nil, err
-	}
-	return rs.Rules, nil
-}
-
-// InformativeBasis returns the informative basis for approximate rules
-// (minimal-generator antecedents, closed-itemset consequents); reduced
-// restricts consequents to lattice covers.
-//
-// Deprecated: use Basis(ctx, "informative", WithMinConfidence(minConf),
-// WithReduction(reduced)).
-func (r *Result) InformativeBasis(minConf float64, reduced bool) ([]Rule, error) {
-	rs, err := r.Basis(context.Background(), "informative",
-		WithMinConfidence(minConf), WithReduction(reduced))
-	if err != nil {
-		return nil, err
-	}
-	return rs.Rules, nil
-}
-
 // PseudoClosedItemsets returns the frequent pseudo-closed itemsets —
 // the antecedents of the Duquenne–Guigues basis — enumerated from the
 // closed itemsets alone, in canonical order.
 func (r *Result) PseudoClosedItemsets() ([]CountedItemset, error) {
-	ps, err := core.PseudoClosedSets(context.TODO(), r.d.NumTransactions(), r.fc)
+	ps, err := core.PseudoClosedSets(context.TODO(), r.numTx, r.fc)
 	if err != nil {
 		return nil, err
 	}
@@ -370,17 +294,8 @@ func (r *Result) PseudoClosedItemsets() ([]CountedItemset, error) {
 // only the two bases.
 type Engine = core.Engine
 
-// Engine builds a derivation engine from the bases.
-func (b *BasisPair) Engine() (*Engine, error) {
-	return core.NewEngine(b.numTx, b.dgAll, b.luxAll)
-}
-
-// Size returns |Exact| + |Approximate|.
-func (b *BasisPair) Size() int { return len(b.Exact) + len(b.Approximate) }
-
 // NewEngine builds a derivation engine from an exact and an
-// approximate rule set, the registry-era counterpart of
-// BasisPair.Engine. For complete derivability the sets must be
+// approximate rule set. For complete derivability the sets must be
 // unfiltered (confidence 0) and the exact set a Duquenne–Guigues
 // basis; Result.DerivationEngine assembles exactly that.
 func NewEngine(numTx int, exact, approximate *RuleSet) (*Engine, error) {
@@ -402,7 +317,7 @@ func (r *Result) DerivationEngine(ctx context.Context) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewEngine(r.d.NumTransactions(), dg, lux)
+	return NewEngine(r.numTx, dg, lux)
 }
 
 // DeriveAllRules regenerates the complete set of valid rules at the
@@ -419,16 +334,44 @@ func (r *Result) DeriveAllRules(minConf float64) ([]Rule, error) {
 
 // SaveClosedItemsets writes the frequent closed itemsets (with their
 // generators) in the library's stable text format, so a mined FC can
-// be stored and re-analyzed without re-mining.
+// be stored and re-analyzed without re-mining; LoadResult reads it
+// back.
 func (r *Result) SaveClosedItemsets(w io.Writer) error {
 	return closedset.Write(w, r.fc)
 }
 
-// LoadClosedItemsets reads a collection written by SaveClosedItemsets.
-func LoadClosedItemsets(rd io.Reader) ([]ClosedItemset, error) {
-	s, err := closedset.Read(rd)
+// LoadResult reads closed itemsets written by SaveClosedItemsets into a
+// Result without a dataset — the "mine once, serve later" workflow.
+// Everything the paper derives from FC alone works on it exactly as on
+// the mined Result: supports, closures, the lattice, every basis
+// (Duquenne–Guigues included), the derivation engine and a
+// QueryService. The rest is read off the file: |O| is the support of
+// the bottom element h(∅), MinSupport the smallest support present
+// (the threshold that reproduces exactly this FC), HasGenerators
+// whether every closed itemset carries a generator, and MinerName is
+// "loaded". What needs the transactions — FrequentItemsets, AllRules,
+// UpdateAppend and generator resolution — returns an error. The file
+// must hold a complete FC: an empty file or one without a bottom
+// element is rejected.
+func LoadResult(rd io.Reader) (*Result, error) {
+	fc, err := closedset.Read(rd)
 	if err != nil {
 		return nil, err
 	}
-	return s.All(), nil
+	bot, ok := fc.Bottom()
+	if !ok {
+		return nil, fmt.Errorf("closedrules: no bottom element among %d closed itemsets (empty or incomplete FC)", fc.Len())
+	}
+	minSup := bot.Support
+	fc.Each(func(c closedset.Closed) bool {
+		minSup = min(minSup, c.Support)
+		return true
+	})
+	return &Result{
+		numTx:     bot.Support,
+		minSup:    minSup,
+		minerName: "loaded",
+		hasGens:   fc.HasGenerators(),
+		fc:        fc,
+	}, nil
 }

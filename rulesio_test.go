@@ -6,52 +6,50 @@ import (
 	"testing"
 )
 
-func minedBases(t *testing.T) (*Result, *BasisPair) {
+// minedBases mines the classic context and returns the result with
+// its Duquenne–Guigues and reduced Luxenburger bases.
+func minedBases(t *testing.T) (res *Result, exact, approx *RuleSet) {
 	t.Helper()
-	d := classic(t)
-	res, err := MineContext(context.Background(), d, WithMinSupport(0.4))
+	res, err := MineContext(context.Background(), classic(t), WithMinSupport(0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bases, err := res.Bases(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, bases
+	exact, approx = paperBases(t, res, 0)
+	return res, exact, approx
 }
 
 func TestRulesJSONRoundTripViaFacade(t *testing.T) {
-	_, bases := minedBases(t)
+	_, _, approx := minedBases(t)
 	var sb strings.Builder
-	if err := WriteRulesJSON(&sb, bases.Approximate); err != nil {
+	if err := WriteRulesJSON(&sb, approx.Rules); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadRulesJSON(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(bases.Approximate) {
-		t.Fatalf("round trip: %d != %d", len(got), len(bases.Approximate))
+	if len(got) != approx.Len() {
+		t.Fatalf("round trip: %d != %d", len(got), approx.Len())
 	}
 }
 
 func TestRulesCSVRoundTripViaFacade(t *testing.T) {
-	_, bases := minedBases(t)
+	_, exact, _ := minedBases(t)
 	var sb strings.Builder
-	if err := WriteRulesCSV(&sb, bases.Exact); err != nil {
+	if err := WriteRulesCSV(&sb, exact.Rules); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadRulesCSV(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(bases.Exact) {
-		t.Fatalf("round trip: %d != %d", len(got), len(bases.Exact))
+	if len(got) != exact.Len() {
+		t.Fatalf("round trip: %d != %d", len(got), exact.Len())
 	}
 }
 
 func TestRuleFilteringViaFacade(t *testing.T) {
-	res, _ := minedBases(t)
+	res, _, _ := minedBases(t)
 	all, err := res.AllRules(0)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +84,7 @@ func TestRuleFilteringViaFacade(t *testing.T) {
 }
 
 func TestTopRulesByLiftViaFacade(t *testing.T) {
-	res, _ := minedBases(t)
+	res, _, _ := minedBases(t)
 	all, err := res.AllRules(0)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +107,7 @@ func TestTopRulesByLiftViaFacade(t *testing.T) {
 }
 
 func TestDeriveAllRulesViaFacade(t *testing.T) {
-	res, _ := minedBases(t)
+	res, _, _ := minedBases(t)
 	for _, minConf := range []float64{0, 0.6, 1} {
 		derived, err := res.DeriveAllRules(minConf)
 		if err != nil {
@@ -131,15 +129,8 @@ func TestDeriveAllRulesViaFacade(t *testing.T) {
 }
 
 func TestSaveLoadClosedItemsets(t *testing.T) {
-	res, _ := minedBases(t)
-	var sb strings.Builder
-	if err := res.SaveClosedItemsets(&sb); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadClosedItemsets(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _, _ := minedBases(t)
+	loaded := reload(t, res).ClosedItemsets()
 	want := res.ClosedItemsets()
 	if len(loaded) != len(want) {
 		t.Fatalf("loaded %d closed itemsets, want %d", len(loaded), len(want))
