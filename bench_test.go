@@ -397,6 +397,37 @@ func BenchmarkLatticeBuild_T10I4(b *testing.B) {
 	}
 }
 
+// --- serving: the Recommend miss path ----------------------------------------
+
+// Recommend cache misses over MUSHROOMS* at minsup 0.1 and minConf
+// 0.5: the layer number behind the repository benchmark's dense
+// recommend latency. Every call misses the cache and reads the
+// antecedent index: each basket is asked once per snapshot, and a
+// Swap, untimed, starts a fresh snapshot when the baskets run out.
+func BenchmarkRecommendMiss_Mushroom(b *testing.B) {
+	qs := mushroomService(b)
+	baskets := missBaskets(qs, 4096, 1)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(baskets) == 0 {
+			b.StopTimer()
+			if err := qs.Swap(qs.ServedResult()); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := qs.Recommend(ctx, baskets[i%len(baskets)], 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if hits := qs.Stats().CacheHits; hits != 0 {
+		b.Fatalf("%d cache hits; every call must miss", hits)
+	}
+}
+
 // --- micro: substrate hot paths -------------------------------------------
 
 func BenchmarkGaloisClosure_Mushroom(b *testing.B) {

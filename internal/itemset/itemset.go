@@ -270,13 +270,16 @@ func (s Itemset) KSubsets(k int, fn func(sub Itemset) bool) {
 // Key returns a compact string usable as a map key. Keys are injective:
 // two itemsets share a key iff they are equal.
 func (s Itemset) Key() string {
-	buf := make([]byte, 0, len(s)*3)
-	var tmp [binary.MaxVarintLen64]byte
+	return string(s.AppendKey(make([]byte, 0, len(s)*3)))
+}
+
+// AppendKey appends the bytes of Key to buf, so a caller composing a
+// larger key can build it in a buffer of its own.
+func (s Itemset) AppendKey(buf []byte) []byte {
 	for _, x := range s {
-		n := binary.PutUvarint(tmp[:], uint64(x))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendUvarint(buf, uint64(x))
 	}
-	return string(buf)
+	return buf
 }
 
 // FromKey decodes a key produced by Key back into the itemset.

@@ -648,10 +648,12 @@ func (p *Pool) materialize(ctx context.Context, t *entry) (*closedrules.QuerySer
 		}
 		c.svc, c.err = svc, err
 		t.mu.Unlock()
-		close(c.done)
+		// Enforce the budget before waking the waiters, so a caller
+		// handed the service sees the pool back within its budget.
 		if err == nil {
 			p.enforceBudget(t)
 		}
+		close(c.done)
 	}()
 	return awaitFlight(ctx, c)
 }

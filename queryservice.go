@@ -3,11 +3,9 @@ package closedrules
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync/atomic"
 
 	"closedrules/internal/closedset"
-	"closedrules/internal/rules"
 )
 
 // QueryService serves support, confidence and recommendation queries
@@ -90,9 +88,9 @@ func (b BasisSelection) withDefaults() BasisSelection {
 // stripes and the cache counters mutate after build.
 type serviceState struct {
 	minConf  float64
-	bases    BasisSelection // provenance of recRules (canonical names)
+	bases    BasisSelection // provenance of the served rules (canonical names)
 	res      *Result
-	recRules []Rule // basis rules (exact + approximate) for Recommend
+	rec      recIndex // basis rules (exact + approximate) for Recommend, by antecedent item
 	recCache *recCache
 
 	// cacheHits and cacheMisses count Recommend cache outcomes against
@@ -177,18 +175,21 @@ func stateFromResult(res *Result, minConf float64, sel BasisSelection) (*service
 	if err != nil {
 		return nil, err
 	}
-	approx, err := res.Basis(ctx, sel.Approximate, WithMinConfidence(minConf))
+	// The memoized threshold-0 set; newRecIndex applies minConf as it
+	// copies the rules.
+	approx, err := res.Basis(ctx, sel.Approximate)
 	if err != nil {
 		return nil, err
 	}
-	recRules := make([]Rule, 0, exact.Len()+approx.Len())
-	recRules = append(recRules, exact.Rules...)
-	recRules = append(recRules, approx.Rules...)
+	rec, err := newRecIndex(exact.Rules, approx.Rules, minConf, res.NumTransactions())
+	if err != nil {
+		return nil, err
+	}
 	return &serviceState{
 		minConf:  minConf,
 		bases:    BasisSelection{Exact: exact.Basis, Approximate: approx.Basis},
 		res:      res,
-		recRules: recRules,
+		rec:      rec,
 		recCache: newRecCache(),
 	}, nil
 }
@@ -242,14 +243,14 @@ const (
 
 // MemoryEstimate approximates the resident bytes of the currently
 // served snapshot: the dataset's transactions, the frequent closed
-// itemsets with their generators, the basis rules behind Recommend,
-// and the recommendation cache. It is a model, not an accounting — Go
-// gives no per-object sizes — but it is monotone in the quantities
-// that actually dominate a snapshot's footprint, which is what a
-// serving layer needs to budget many resident services against each
-// other (see internal/tenant). The lazily built structures a Result
-// may grow later (the full frequent family, the lattice) are not
-// counted.
+// itemsets with their generators, the basis rules behind Recommend
+// with their antecedent index, and the recommendation cache. It is a
+// model, not an accounting — Go gives no per-object sizes — but it is
+// monotone in the quantities that actually dominate a snapshot's
+// footprint, which is what a serving layer needs to budget many
+// resident services against each other (see internal/tenant). The
+// lazily built structures a Result may grow later (the full frequent
+// family, the lattice) are not counted.
 func (qs *QueryService) MemoryEstimate() int64 {
 	st := qs.st.Load()
 	var b int64
@@ -268,9 +269,10 @@ func (qs *QueryService) MemoryEstimate() int64 {
 		}
 		return true
 	})
-	for _, r := range st.recRules {
+	for _, r := range st.rec.rules {
 		b += int64(r.Antecedent.Len()+r.Consequent.Len())*estPerItem + estPerRule
 	}
+	b += st.rec.bytes()
 	b += int64(st.recCache.entries()) * estPerCacheEntry
 	return b
 }
@@ -327,7 +329,7 @@ func (qs *QueryService) BasisRulesWithN(ctx context.Context, name string, minCon
 
 // NumRules returns the number of basis rules available to Recommend.
 func (qs *QueryService) NumRules() int {
-	return len(qs.st.Load().recRules)
+	return len(qs.st.Load().rec.rules)
 }
 
 // Support answers supp(X) = supp(h(X)) from the closed itemsets; ok is
@@ -401,8 +403,11 @@ func ruleFrom(st *serviceState, antecedent, consequent Itemset) (Rule, error) {
 
 // Recommend returns up to k basis rules applicable to the observed
 // itemset — antecedent covered by the observation, consequent not
-// already fully observed — ranked by descending lift. Results are
-// cached per (observation, k) until the next Swap.
+// already fully observed — ranked by descending lift, ties in
+// canonical rule order. A ranking is computed from a per-snapshot
+// index of the rules by antecedent item, which reads only the rules
+// that can apply, and cached per (observation, k) until the next Swap.
+// observed must be sorted, as Items returns it.
 func (qs *QueryService) Recommend(ctx context.Context, observed Itemset, k int) ([]Rule, error) {
 	recs, _, err := qs.RecommendWithN(ctx, observed, k)
 	return recs, err
@@ -418,7 +423,7 @@ func (qs *QueryService) RecommendWithN(ctx context.Context, observed Itemset, k 
 		return nil, 0, fmt.Errorf("closedrules: Recommend k %d < 1", k)
 	}
 	st := qs.st.Load()
-	key := observed.Key() + "#" + strconv.Itoa(k)
+	key := recCacheKey(observed, k)
 	if cached, hit := st.recCache.get(key); hit {
 		qs.cacheHits.Add(1)
 		st.cacheHits.Add(1)
@@ -429,11 +434,7 @@ func (qs *QueryService) RecommendWithN(ctx context.Context, observed Itemset, k 
 	qs.cacheMisses.Add(1)
 	st.cacheMisses.Add(1)
 
-	applicable := rules.WithAntecedentSubsetOf(st.recRules, observed)
-	novel := rules.Filter(applicable, func(r Rule) bool {
-		return !observed.ContainsAll(r.Consequent)
-	})
-	top := rules.TopBy(novel, k, rules.ByLift(st.res.NumTransactions()))
+	top := st.rec.top(observed, k)
 
 	// The state may have been swapped while we computed; caching into
 	// the old snapshot's stripes is still correct (they are keyed to

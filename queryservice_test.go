@@ -423,6 +423,15 @@ func TestMemoryEstimate(t *testing.T) {
 	if base <= 0 {
 		t.Fatalf("MemoryEstimate() = %d, want > 0", base)
 	}
+	// The recommend index counts: the same snapshot without its lifts,
+	// ids and group offsets estimates smaller by exactly their bytes.
+	st := qs.st.Load()
+	bare := &QueryService{}
+	bare.st.Store(&serviceState{res: st.res, rec: recIndex{rules: st.rec.rules}, recCache: newRecCache()})
+	index := int64(len(st.rec.lift))*8 + int64(len(st.rec.ids)+len(st.rec.off))*4
+	if got := base - bare.MemoryEstimate(); index == 0 || got != index {
+		t.Errorf("estimate counts %d bytes of recommend index, want %d", got, index)
+	}
 	// Warming the recommendation cache grows the estimate: the cache
 	// entries are part of the resident footprint the tenant pool
 	// budgets against.

@@ -1,6 +1,11 @@
 package closedrules
 
-import "sync"
+import (
+	"strconv"
+	"sync"
+
+	"closedrules/internal/itemset"
+)
 
 const (
 	// recCacheShards is the number of independently locked stripes of
@@ -41,6 +46,16 @@ func newRecCache() *recCache {
 		c.shards[i].m = make(map[string][]Rule)
 	}
 	return c
+}
+
+// recCacheKey is the cache key of a (basket, k) lookup: the basket's
+// Itemset.Key, "#", then k in decimal. k holds no '#', so the last '#'
+// splits the key and it is injective. It allocates once, for the
+// string, unless the basket outgrows the stack buffer.
+func recCacheKey(observed itemset.Itemset, k int) string {
+	var buf [64]byte
+	key := append(observed.AppendKey(buf[:0]), '#')
+	return string(strconv.AppendInt(key, int64(k), 10))
 }
 
 // shardIndex hashes the key (FNV-1a) onto a stripe.
