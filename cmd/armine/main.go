@@ -26,13 +26,14 @@
 // (the closed and generic modes, or a -basis that requires them)
 // defaults to "genclose", which mines the closed sets and their
 // generators in one vertical traversal. Those outputs accept any
-// generator-tracking miner: genclose/pgenclose or the level-wise
-// close, a-close and titanic. Rule bases are resolved through the
-// basis registry: `-basis list` prints every registered basis, and
-// `-basis NAME` mines and prints that single basis at -minconf
-// (overriding -mode; -full selects the unreduced variant where one
-// exists). A -timeout aborts a runaway mine mid-run via context
-// cancellation.
+// generator-tracking miner: genclose or the level-wise close, a-close
+// and titanic. charm, eclat and declat mine their first-level classes
+// on GOMAXPROCS workers; their output does not depend on the count.
+// Rule bases are resolved through the basis registry: `-basis list`
+// prints every registered basis, and `-basis NAME` mines and prints
+// that single basis at -minconf (overriding -mode; -full selects the
+// unreduced variant where one exists). A -timeout aborts a runaway
+// mine mid-run via context cancellation.
 package main
 
 import (

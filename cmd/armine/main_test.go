@@ -44,7 +44,7 @@ func TestFrequentMode(t *testing.T) {
 }
 
 func TestClosedModeAllAlgorithms(t *testing.T) {
-	for _, algo := range []string{"close", "aclose", "charm", "titanic", "genclose", "pgenclose"} {
+	for _, algo := range []string{"close", "aclose", "charm", "titanic", "genclose"} {
 		out := runCLI(t, "-in", writeClassic(t), "-minsup", "0.4", "-mode", "closed", "-algo", algo)
 		if !strings.Contains(out, "# 6 frequent closed itemsets") {
 			t.Errorf("algo %s output:\n%s", algo, out)
@@ -54,9 +54,14 @@ func TestClosedModeAllAlgorithms(t *testing.T) {
 
 func TestAlgoList(t *testing.T) {
 	out := runCLI(t, "-algo", "list")
-	for _, name := range []string{"close", "aclose", "charm", "titanic", "genclose", "pgenclose", "apriori", "eclat", "declat", "fpgrowth", "pascal"} {
+	for _, name := range []string{"close", "aclose", "charm", "titanic", "genclose", "apriori", "eclat", "declat", "fpgrowth", "pascal"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-algo list missing %q:\n%s", name, out)
+		}
+	}
+	for _, name := range []string{"pcharm", "pgenclose", "peclat", "pdeclat"} {
+		if strings.Contains(out, name) {
+			t.Errorf("-algo list still names retired %q:\n%s", name, out)
 		}
 	}
 }
@@ -216,6 +221,7 @@ func TestErrors(t *testing.T) {
 		{},                               // missing -in
 		{"-in", "/nonexistent/file.dat"}, // missing file
 		{"-in", writeClassic(t), "-algo", "bogus"},
+		{"-in", writeClassic(t), "-mode", "closed", "-algo", "pcharm"}, // retired twin
 		{"-in", writeClassic(t), "-mode", "bogus"},
 		{"-in", writeClassic(t), "-table", "-sep", "ab"},
 		{"-in", writeClassic(t), "-minsup", "7"},

@@ -57,8 +57,8 @@ func run(args []string, w *os.File) error {
 		label    = fs.String("label", "", "run label recorded in the report (default: scale + date)")
 		out      = fs.String("out", "BENCH_closedmining.json", "output report path")
 		appendF  = fs.Bool("append", false, "append the run to an existing report instead of overwriting")
-		closedF  = fs.String("closed", "close,charm,pcharm,genclose,pgenclose", "comma-separated closed miners to bench")
-		freqF    = fs.String("frequent", "eclat,declat,peclat,pdeclat", "comma-separated frequent miners to bench")
+		closedF  = fs.String("closed", "close,charm,genclose", "comma-separated closed miners to bench")
+		freqF    = fs.String("frequent", "eclat,declat", "comma-separated frequent miners to bench")
 		minTime  = fs.Duration("mintime", 300*time.Millisecond, "minimum measuring time per cell")
 		maxIters = fs.Int("maxiters", 20, "maximum iterations per cell")
 		timeout  = fs.Duration("timeout", 0, "abort the whole campaign after this duration (0 = no limit)")
@@ -179,7 +179,7 @@ func run(args []string, w *os.File) error {
 
 	fmt.Fprintf(w, "wrote %s: %d run(s), %d result(s) in run %q\n",
 		*out, len(rep.Runs), len(newRun.Results), newRun.Label)
-	pairs := map[string]string{"charm": "pcharm", "eclat": "peclat", "declat": "pdeclat", "genclose": "pgenclose"}
+	var pairs map[string]string
 	if *liveAppend {
 		pairs = map[string]string{"remine": "incremental"}
 	}

@@ -177,11 +177,10 @@ func lockCall(pass *analysis.Pass, stmt ast.Stmt) (string, string) {
 
 // miningCalleeNames are the unmistakably mining-shaped entry points.
 var miningCalleeNames = map[string]bool{
-	"MineContext":         true,
-	"MineParallelContext": true,
-	"MineDiffsetContext":  true,
-	"MineClosed":          true,
-	"MineFrequent":        true,
+	"MineContext":        true,
+	"MineDiffsetContext": true,
+	"MineClosed":         true,
+	"MineFrequent":       true,
 }
 
 // reportMiningCalls flags mining/basis-construction calls under stmt.

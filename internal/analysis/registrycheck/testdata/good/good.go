@@ -22,16 +22,16 @@ func init() {
 	basis.Register("good-basis", goodBasis{})
 }
 
-// The genclose idiom: one package registering its sequential and
-// parallel generator-tracking variants as two distinct literal names
-// from a second init function. Both registrations are sanctioned.
+// One package registering two generator-tracking variants as two
+// distinct literal names from a second init function (the eclat/declat
+// shape). Both registrations are sanctioned.
 func init() {
 	miner.RegisterClosed("good-genminer", genMiner{})
 	miner.RegisterClosed("pgood-genminer", genMiner{})
 }
 
-// genMiner mirrors a generator-tracking closed miner (the
-// genclose/pgenclose registration shape).
+// genMiner mirrors a generator-tracking closed miner (the genclose
+// registration shape).
 type genMiner struct{}
 
 func (genMiner) MineClosed(ctx context.Context, d *dataset.Dataset, minSup int) ([]closedset.Closed, error) {

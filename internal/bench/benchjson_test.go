@@ -12,8 +12,8 @@ func smallRun(t *testing.T) Run {
 	run, skipped, err := Execute(context.Background(), RunConfig{
 		Label:          "test",
 		Scale:          Small,
-		ClosedMiners:   []string{"charm", "pcharm", "nosuchminer"},
-		FrequentMiners: []string{"eclat", "peclat"},
+		ClosedMiners:   []string{"close", "charm", "nosuchminer"},
+		FrequentMiners: []string{"eclat", "declat"},
 		MinTime:        time.Millisecond,
 		MaxIters:       1,
 	})
@@ -37,25 +37,25 @@ func TestExecuteMeasuresEveryCell(t *testing.T) {
 			t.Errorf("unmeasured cell: %+v", r)
 		}
 	}
-	// The parallel miners must mine the same number of itemsets as
-	// their sequential counterparts on every workload.
+	// Miners of one kind must mine the same number of itemsets on
+	// every workload.
 	counts := map[string]int{}
 	for _, r := range run.Results {
 		counts[r.Workload+"/"+r.Miner] = r.Sets
 	}
 	for _, r := range run.Results {
 		switch r.Miner {
-		case "pcharm":
-			if counts[r.Workload+"/charm"] != r.Sets {
-				t.Errorf("%s: pcharm %d sets, charm %d", r.Workload, r.Sets, counts[r.Workload+"/charm"])
+		case "charm":
+			if counts[r.Workload+"/close"] != r.Sets {
+				t.Errorf("%s: charm %d sets, close %d", r.Workload, r.Sets, counts[r.Workload+"/close"])
 			}
-		case "peclat":
+		case "declat":
 			if counts[r.Workload+"/eclat"] != r.Sets {
-				t.Errorf("%s: peclat %d sets, eclat %d", r.Workload, r.Sets, counts[r.Workload+"/eclat"])
+				t.Errorf("%s: declat %d sets, eclat %d", r.Workload, r.Sets, counts[r.Workload+"/eclat"])
 			}
 		}
 	}
-	if len(Speedups(run, "charm", "pcharm")) != 4 {
+	if len(Speedups(run, "close", "charm")) != 4 {
 		t.Error("Speedups did not pair all workloads")
 	}
 }

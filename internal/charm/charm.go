@@ -4,9 +4,18 @@
 // tidset-containment properties to collapse branches, and a
 // subsumption hash to confirm closedness. CHARM does not track
 // minimal generators; it serves as an independent producer of FC for
-// cross-checking and as an ablation point in the benchmarks. A
-// parallel variant that fans the first-level equivalence classes out
-// to a worker pool is in pcharm.go.
+// cross-checking and as an ablation point in the benchmarks.
+//
+// The first-level equivalence classes (one per frequent root item) are
+// mined on a bounded worker pool, sized by the context's parallelism
+// hint (else GOMAXPROCS), and merged back through the subsumption
+// index in root order. The merge is what makes the output independent
+// of the worker count: the IT-tree walk below a root never reads the
+// subsumption index (the index only filters output), so each class
+// records its candidate insertions in walk order, and the
+// single-threaded replay applies the same previously-found-subsumer
+// check against the same prior state whatever the number of workers.
+// Workers share nothing but the read-only root nodes.
 package charm
 
 import (
@@ -19,6 +28,7 @@ import (
 	"closedrules/internal/dataset"
 	"closedrules/internal/galois"
 	"closedrules/internal/itemset"
+	registry "closedrules/internal/miner"
 )
 
 // node is one IT-pair of the search tree, with its support cached so
@@ -29,16 +39,31 @@ type node struct {
 	sup   int
 }
 
-// miner walks the IT-tree and hands every candidate closed itemset to
-// emit; the closedness filtering itself lives behind emit, so the
-// sequential and parallel front ends share the exact same search.
-type miner struct {
-	ctx    context.Context
-	minSup int
-	emit   func(x itemset.Itemset, tids bitset.Set, sup int)
+// attempt is one candidate insertion recorded by a class walk: the
+// itemset, its support, and the hash of its tidset (the tidset itself
+// is not retained — equal support plus containment already implies
+// tidset equality, the hash only buckets).
+type attempt struct {
+	items itemset.Itemset
+	hash  uint64
+	sup   int
 }
 
-// collector is the subsumption index of the sequential miner: a
+// class is the unit handed to the pool: one root's equivalence class —
+// prefix, root index and surviving members — plus the attempts its
+// walk records. Child tidsets are not materialized when the class is
+// cut: the dispatcher only decides class boundaries (popcounts,
+// allocation-free); the worker pays for its own class's intersections,
+// so that work runs in parallel and only one class's tidsets are
+// resident per worker.
+type class struct {
+	x        itemset.Itemset
+	root     int
+	members  []member
+	attempts []attempt
+}
+
+// collector is the subsumption index the attempts replay through: a
 // candidate is closed unless an earlier-found closed itemset with the
 // same tidset contains it (Zaki's hash-based closedness check).
 type collector struct {
@@ -74,9 +99,11 @@ func Mine(d *dataset.Dataset, minSup int) (*closedset.Set, error) {
 	return MineContext(context.Background(), d, minSup)
 }
 
-// MineContext is Mine with cancellation: ctx is checked at every
-// branch extension of the IT-tree, so a cancelled context aborts the
-// run within one extension step.
+// MineContext is Mine with cancellation: every worker checks ctx at
+// each branch extension of its class, so a cancelled context aborts
+// the run within one extension step per worker. The worker count is
+// the context's parallelism hint, else GOMAXPROCS; one worker walks
+// the classes inline.
 func MineContext(ctx context.Context, d *dataset.Dataset, minSup int) (*closedset.Set, error) {
 	if minSup < 1 {
 		return nil, fmt.Errorf("charm: minSup %d < 1", minSup)
@@ -85,17 +112,55 @@ func MineContext(ctx context.Context, d *dataset.Dataset, minSup int) (*closedse
 		return nil, err
 	}
 	dc := d.Context()
-	col := newCollector()
-	addBottom(dc, d, minSup, col)
-
 	roots := buildRoots(dc, d.NumTransactions(), minSup)
-	m := &miner{ctx: ctx, minSup: minSup, emit: func(x itemset.Itemset, tids bitset.Set, sup int) {
-		col.insert(x, tids.Hash(), sup)
-	}}
-	if err := m.extend(roots); err != nil {
+
+	// First level, on the calling goroutine: the pairwise
+	// tidset-containment pruning couples the roots (property 1/3
+	// removes later roots, property 2 grows the prefix), so the class
+	// boundaries are cut here by classOf — only the descent below each
+	// class is farmed out.
+	var classes []*class
+	skip := make([]bool, len(roots))
+	for i := range roots {
+		if skip[i] {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		x, members := classOf(roots, skip, i, minSup)
+		classes = append(classes, &class{x: x, root: i, members: members})
+	}
+
+	err := registry.RunPool(len(classes), registry.ParallelismFromContext(ctx), func(i int) error {
+		return classes[i].run(ctx, roots, minSup)
+	})
+	if err != nil {
 		return nil, err
 	}
+
+	// Deterministic merge: replay every class's attempts in root order
+	// through the subsumption index.
+	col := newCollector()
+	addBottom(dc, d, minSup, col)
+	for _, c := range classes {
+		for _, a := range c.attempts {
+			col.insert(a.items, a.hash, a.sup)
+		}
+	}
 	return col.fc, nil
+}
+
+// run mines one class subtree, recording candidate insertions in walk
+// order (children post-order, then the class prefix itself).
+func (c *class) run(ctx context.Context, roots []node, minSup int) error {
+	if len(c.members) > 0 {
+		if err := c.extend(ctx, minSup, buildChildren(roots, c.root, c.x, c.members)); err != nil {
+			return err
+		}
+	}
+	c.attempts = append(c.attempts, attempt{items: c.x, hash: roots[c.root].tids.Hash(), sup: roots[c.root].sup})
+	return nil
 }
 
 // addBottom inserts h(∅) (support |O|) when it is frequent.
@@ -140,23 +205,25 @@ func sortBySupport(ns []node) {
 	})
 }
 
-// extend processes one level of the IT-tree (Zaki's CHARM-EXTEND).
-func (m *miner) extend(nodes []node) error {
+// extend processes one level of the IT-tree below a class (Zaki's
+// CHARM-EXTEND), recording every candidate closed itemset as an
+// attempt.
+func (c *class) extend(ctx context.Context, minSup int, nodes []node) error {
 	skip := make([]bool, len(nodes))
 	for i := range nodes {
 		if skip[i] {
 			continue
 		}
-		if err := m.ctx.Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		x, members := classOf(nodes, skip, i, m.minSup)
+		x, members := classOf(nodes, skip, i, minSup)
 		if len(members) > 0 {
-			if err := m.extend(buildChildren(nodes, i, x, members)); err != nil {
+			if err := c.extend(ctx, minSup, buildChildren(nodes, i, x, members)); err != nil {
 				return err
 			}
 		}
-		m.emit(x, nodes[i].tids, nodes[i].sup)
+		c.attempts = append(c.attempts, attempt{items: x, hash: nodes[i].tids.Hash(), sup: nodes[i].sup})
 	}
 	return nil
 }
@@ -183,10 +250,9 @@ func probe(a, b node) (sup int, taSubTb, tbSubTa bool) {
 // applying Zaki's four tidset-containment properties and marking later
 // nodes consumed by properties 1/3 in skip. The pairwise pruning works
 // through probe only, so deciding class boundaries allocates no
-// tidsets at all — materialization is buildChildren's job, which the
-// parallel front end defers into its workers. Shared by the sequential
-// walk (extend) and MineParallelContext, which must agree on class
-// boundaries exactly.
+// tidsets at all — materialization is buildChildren's job, which
+// MineContext defers into its workers. Shared by the first-level cut
+// in MineContext and the per-class walk (extend).
 func classOf(nodes []node, skip []bool, i, minSup int) (itemset.Itemset, []member) {
 	x := nodes[i].items
 	var members []member

@@ -1,11 +1,15 @@
 package charm
 
 import (
+	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"closedrules/internal/closedset"
 	"closedrules/internal/dataset"
 	"closedrules/internal/itemset"
+	"closedrules/internal/miner"
 	"closedrules/internal/naive"
 	"closedrules/internal/testgen"
 )
@@ -94,5 +98,93 @@ func TestMineAgainstNaiveCorrelated(t *testing.T) {
 		if !fc.Equal(want) {
 			t.Fatalf("iter %d: charm %d, naive %d", iter, fc.Len(), want.Len())
 		}
+	}
+}
+
+// mineOn runs MineContext on the given number of workers.
+func mineOn(t *testing.T, d *dataset.Dataset, minSup, workers int) *closedset.Set {
+	t.Helper()
+	fc, err := MineContext(miner.ContextWithParallelism(context.Background(), workers), d, minSup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fc
+}
+
+// countdownCtx cancels itself after a fixed number of Err probes — a
+// deterministic way to hit a miner mid-run, deep inside the IT-tree,
+// regardless of machine speed.
+type countdownCtx struct {
+	context.Context
+	mu sync.Mutex
+	n  int
+}
+
+func (c *countdownCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n--
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMineParallelByteIdentical checks that the worker count never
+// shows in the output: All() returns the same closed itemsets, in the
+// same order, with the same supports as the one-worker inline run.
+func TestMineParallelByteIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(131))
+	for iter := 0; iter < 60; iter++ {
+		d := testgen.Random(r, 30, 12, 0.4)
+		minSup := 1 + r.Intn(4)
+		workers := 1 + r.Intn(6)
+		sa, pa := mineOn(t, d, minSup, 1).All(), mineOn(t, d, minSup, workers).All()
+		if len(sa) != len(pa) {
+			t.Fatalf("iter %d (workers %d): %d closed, one worker %d", iter, workers, len(pa), len(sa))
+		}
+		for i := range sa {
+			if !sa[i].Items.Equal(pa[i].Items) || sa[i].Support != pa[i].Support {
+				t.Fatalf("iter %d (workers %d): element %d differs: %v/%d vs %v/%d",
+					iter, workers, i, pa[i].Items, pa[i].Support, sa[i].Items, sa[i].Support)
+			}
+		}
+	}
+}
+
+func TestMineParallelCorrelated(t *testing.T) {
+	r := rand.New(rand.NewSource(137))
+	for iter := 0; iter < 10; iter++ {
+		d := testgen.Correlated(r, 80, 5, 3, 0.15)
+		minSup := 2 + r.Intn(8)
+		fc := mineOn(t, d, minSup, 4)
+		if want := naive.ClosedItemsets(d.Context(), minSup); !fc.Equal(want) {
+			t.Fatalf("iter %d: 4 workers %d closed, naive %d", iter, fc.Len(), want.Len())
+		}
+	}
+}
+
+func TestMineParallelCancelledMidMine(t *testing.T) {
+	r := rand.New(rand.NewSource(139))
+	d := testgen.Correlated(r, 200, 6, 3, 0.2)
+	// A full run needs far more than 40 Err probes; the countdown
+	// cancels while workers are inside their subtrees.
+	ctx := &countdownCtx{Context: miner.ContextWithParallelism(context.Background(), 4), n: 40}
+	if _, err := MineContext(ctx, d, 2); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+func TestMineParallelCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(miner.ContextWithParallelism(context.Background(), 2))
+	cancel()
+	if _, err := MineContext(ctx, classic(t), 2); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+func TestMineParallelValidation(t *testing.T) {
+	if _, err := MineContext(miner.ContextWithParallelism(context.Background(), 2), classic(t), 0); err == nil {
+		t.Error("minSup 0 accepted")
 	}
 }

@@ -2,7 +2,6 @@ package eclat
 
 import (
 	"context"
-	"fmt"
 
 	"closedrules/internal/bitset"
 	"closedrules/internal/dataset"
@@ -19,27 +18,11 @@ func MineDiffset(d *dataset.Dataset, minSup int) (*itemset.Family, error) {
 	return MineDiffsetContext(context.Background(), d, minSup)
 }
 
-// MineDiffsetContext is MineDiffset with cancellation, checked at
-// every prefix extension like MineContext.
+// MineDiffsetContext is MineDiffset with cancellation, checked by
+// every worker at each prefix extension like MineContext. The classes
+// fan out to the same worker pool as Eclat's.
 func MineDiffsetContext(ctx context.Context, d *dataset.Dataset, minSup int) (*itemset.Family, error) {
-	if minSup < 1 {
-		return nil, fmt.Errorf("eclat: minSup %d < 1", minSup)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c := d.Context()
-	fam := itemset.NewFamily()
-
-	// Root level: keep plain tidsets; children switch to diffsets.
-	roots := frontier(c, minSup)
-
-	for i := range roots {
-		if err := mineDiffClass(ctx, minSup, roots, i, fam.Add); err != nil {
-			return nil, err
-		}
-	}
-	return fam, nil
+	return mineClasses(ctx, d, minSup, mineDiffClass)
 }
 
 // dnode carries the diffset relative to its parent and its support —
@@ -51,9 +34,8 @@ type dnode struct {
 }
 
 // mineDiff walks the diffset subtree below prefix, reporting every
-// frequent itemset through add. Shared by the sequential and parallel
-// dEclat variants; add must be cheap and need not be thread-safe (each
-// caller owns its own sink).
+// frequent itemset through add; add must be cheap and need not be
+// thread-safe (each class owns its own sink).
 func mineDiff(ctx context.Context, minSup int, ext []dnode, prefix itemset.Itemset, add func(itemset.Itemset, int)) error {
 	for i, e := range ext {
 		if err := ctx.Err(); err != nil {
@@ -82,8 +64,8 @@ func mineDiff(ctx context.Context, minSup int, ext []dnode, prefix itemset.Items
 
 // mineDiffClass mines the complete diffset subtree of root i — the
 // root itself plus every extension by later roots — reporting through
-// add. The wide root-level tidset differences happen here, so a
-// parallel caller pays them inside the worker.
+// add. The wide root-level tidset differences happen here, inside the
+// worker.
 func mineDiffClass(ctx context.Context, minSup int, roots []entry, i int, add func(itemset.Itemset, int)) error {
 	e := roots[i]
 	p := itemset.Of(e.item)

@@ -72,3 +72,15 @@ func TestMineDiffsetAgainstNaiveCorrelated(t *testing.T) {
 		}
 	}
 }
+
+func TestMineDiffsetParallelByteIdentical(t *testing.T) {
+	assertWorkerCountInvisible(t, MineDiffsetContext, 167)
+}
+
+func TestMineDiffsetParallelCancelledMidMine(t *testing.T) {
+	assertCancelledMidMine(t, MineDiffsetContext, 179)
+}
+
+func TestMineDiffsetParallelEmptyAndValidation(t *testing.T) {
+	assertEmptyAndValidation(t, MineDiffsetContext)
+}

@@ -28,34 +28,7 @@ func (registeredDiffset) MineFrequent(ctx context.Context, d *dataset.Dataset, m
 	return fam.All(), nil
 }
 
-// registeredParallel adapts the parallel miner; the worker count comes
-// from the context hint (WithParallelism in the root package), else
-// one worker per CPU.
-type registeredParallel struct{}
-
-func (registeredParallel) MineFrequent(ctx context.Context, d *dataset.Dataset, minSup int) ([]itemset.Counted, error) {
-	fam, err := MineParallelContext(ctx, d, minSup, miner.ParallelismFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return fam.All(), nil
-}
-
-// registeredDiffsetParallel is the diffset analogue of
-// registeredParallel: dEclat subtrees fanned over the shared pool.
-type registeredDiffsetParallel struct{}
-
-func (registeredDiffsetParallel) MineFrequent(ctx context.Context, d *dataset.Dataset, minSup int) ([]itemset.Counted, error) {
-	fam, err := MineDiffsetParallelContext(ctx, d, minSup, miner.ParallelismFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return fam.All(), nil
-}
-
 func init() {
 	miner.RegisterFrequent("eclat", registered{})
 	miner.RegisterFrequent("declat", registeredDiffset{})
-	miner.RegisterFrequent("peclat", registeredParallel{})
-	miner.RegisterFrequent("pdeclat", registeredDiffsetParallel{})
 }

@@ -19,12 +19,10 @@
 // the generic and informative bases (and the basis registry's
 // generator requirement) consume.
 //
-// The same per-level candidate evaluation runs sequentially or fanned
-// out over the shared worker pool (MineParallelContext, registered as
-// "pgenclose"): candidates are evaluated into index-addressed slots
-// and all result-set mutations replay sequentially in candidate
-// order, so the parallel output is byte-identical to the sequential
-// one.
+// The traversal runs on the calling goroutine. Fanning each level's
+// candidates out to a worker pool did not pay: it measured level on
+// dense data and up to ~1.7x slower on sparse data, where a candidate
+// is one popcount and the dispatch costs more than the work.
 package genclose
 
 import (
@@ -37,7 +35,6 @@ import (
 	"closedrules/internal/galois"
 	"closedrules/internal/itemset"
 	"closedrules/internal/levelwise"
-	registry "closedrules/internal/miner"
 )
 
 // node is one free set (minimal generator) of the current level, with
@@ -69,30 +66,6 @@ func Mine(d *dataset.Dataset, minSup int) (*closedset.Set, error) {
 // inside every level, so a cancelled context aborts the run within one
 // candidate evaluation.
 func MineContext(ctx context.Context, d *dataset.Dataset, minSup int) (*closedset.Set, error) {
-	return mine(ctx, d, minSup, 1)
-}
-
-// MineParallel mines with the given number of workers (≤ 0 means one
-// per CPU); the result is byte-identical to Mine.
-func MineParallel(d *dataset.Dataset, minSup, workers int) (*closedset.Set, error) {
-	return MineParallelContext(context.Background(), d, minSup, workers)
-}
-
-// MineParallelContext is MineParallel with cancellation, under the
-// same per-candidate contract as MineContext.
-func MineParallelContext(ctx context.Context, d *dataset.Dataset, minSup, workers int) (*closedset.Set, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	return mine(ctx, d, minSup, workers)
-}
-
-// mine is the shared engine. All mutation of the result set and the
-// closure index happens on the calling goroutine in candidate order;
-// workers only fill index-addressed slots with pure per-candidate
-// results, which is what makes the parallel run byte-identical to the
-// sequential one.
-func mine(ctx context.Context, d *dataset.Dataset, minSup, workers int) (*closedset.Set, error) {
 	if minSup < 1 {
 		return nil, fmt.Errorf("genclose: minSup %d < 1", minSup)
 	}
@@ -102,8 +75,7 @@ func mine(ctx context.Context, d *dataset.Dataset, minSup, workers int) (*closed
 	dc := d.Context()
 	nTx := d.NumTransactions()
 	fc := closedset.New()
-	m := &miner{ctx: ctx, dc: dc, minSup: minSup, workers: workers, fc: fc,
-		idx: map[uint64][]closureEntry{}}
+	m := &miner{ctx: ctx, dc: dc, minSup: minSup, fc: fc, idx: map[uint64][]closureEntry{}}
 
 	// The empty set is the level-0 generator: free by definition, its
 	// closure is the bottom h(∅) whenever it is frequent.
@@ -141,11 +113,10 @@ func mine(ctx context.Context, d *dataset.Dataset, minSup, workers int) (*closed
 
 // miner carries the per-run state of one traversal.
 type miner struct {
-	ctx     context.Context
-	dc      *dataset.Context
-	minSup  int
-	workers int
-	fc      *closedset.Set
+	ctx    context.Context
+	dc     *dataset.Context
+	minSup int
+	fc     *closedset.Set
 	// idx is the closure index: tidset hash → discovered (tidset,
 	// closure) pairs. Equal tidsets imply equal closures, so every
 	// closed itemset pays for exactly one Intent computation no matter
@@ -174,8 +145,7 @@ func (m *miner) lookup(tids bitset.Set, h uint64) (itemset.Itemset, bool) {
 // missing subset disqualifies a minimal generator outright). Each
 // surviving candidate is probed for support against the prefix
 // parent's tidset and kept when frequent and free; only survivors
-// materialize their tidset. Candidates land in index-addressed slots,
-// evaluated by up to m.workers workers.
+// materialize their tidset.
 func (m *miner) nextLevel(level []node, k int) ([]node, error) {
 	byKey := make(map[string]*node, len(level))
 	items := make([]itemset.Itemset, len(level))
@@ -186,36 +156,22 @@ func (m *miner) nextLevel(level []node, k int) ([]node, error) {
 	levelwise.SortLex(items)
 	cands := levelwise.Join(items)
 	cands = levelwise.PruneBySubsets(cands, levelwise.Keys(items))
-	if len(cands) == 0 {
-		return nil, nil
-	}
 
-	slots := make([]node, len(cands))
-	err := registry.RunPool(len(cands), m.workers, func(i int) error {
+	var next []node
+	for _, cand := range cands {
 		if err := m.ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		cand := cands[i]
 		prefix := byKey[cand[:k-1].Key()]
 		sup := probe(prefix.tids, m.dc.Cols[cand[k-1]])
 		if sup < m.minSup || !m.free(byKey, cand, sup) {
-			return nil
+			continue
 		}
-		slots[i] = node{
+		next = append(next, node{
 			items: cand,
 			tids:  bitset.New(prefix.tids.Width()).AndInto(prefix.tids, m.dc.Cols[cand[k-1]]),
 			sup:   sup,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	next := slots[:0]
-	for i := range slots {
-		if slots[i].items != nil {
-			next = append(next, slots[i])
-		}
+		})
 	}
 	return next, nil
 }
@@ -237,68 +193,22 @@ func (m *miner) free(prev map[string]*node, cand itemset.Itemset, sup int) bool 
 }
 
 // emitLevel extends the closed nodes reached by one level of
-// generators: every distinct new tidset gets its closure computed
-// (in parallel — each h(·) is independent), then the generators are
-// recorded in candidate order. This is the "simultaneous" half of
-// GenClose: closures interleave with the traversal, once per closed
-// itemset.
+// generators, in level order: a tidset already in the closure index
+// reuses its closure, a new one gets h(·) computed and indexed, and
+// the generator is recorded under that closure. This is the
+// "simultaneous" half of GenClose: closures interleave with the
+// traversal, once per closed itemset.
 func (m *miner) emitLevel(level []node) error {
-	if len(level) == 0 {
-		return nil
-	}
-	type job struct {
-		tids    bitset.Set
-		h       uint64
-		closure itemset.Itemset
-	}
-	hashes := make([]uint64, len(level))
-	closures := make([]itemset.Itemset, len(level)) // nil → resolved by jobRef
-	jobRef := make([]*job, len(level))
-	var jobs []*job
-	pending := map[uint64][]*job{}
 	for i := range level {
 		if err := m.ctx.Err(); err != nil {
 			return err
 		}
-		h := level[i].tids.Hash()
-		hashes[i] = h
-		if cl, ok := m.lookup(level[i].tids, h); ok {
-			closures[i] = cl
-			continue
-		}
-		dup := false
-		for _, j := range pending[h] {
-			if j.tids.Equal(level[i].tids) {
-				jobRef[i] = j
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		j := &job{tids: level[i].tids, h: h}
-		jobs = append(jobs, j)
-		pending[h] = append(pending[h], j)
-		jobRef[i] = j
-	}
-	err := registry.RunPool(len(jobs), m.workers, func(i int) error {
-		if err := m.ctx.Err(); err != nil {
-			return err
-		}
-		jobs[i].closure = galois.Intent(m.dc, jobs[i].tids)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, j := range jobs {
-		m.idx[j.h] = append(m.idx[j.h], closureEntry{tids: j.tids, closure: j.closure})
-	}
-	for i := range level {
-		cl := closures[i]
-		if cl == nil {
-			cl = jobRef[i].closure
+		tids := level[i].tids
+		h := tids.Hash()
+		cl, ok := m.lookup(tids, h)
+		if !ok {
+			cl = galois.Intent(m.dc, tids)
+			m.idx[h] = append(m.idx[h], closureEntry{tids: tids, closure: cl})
 		}
 		m.fc.AddGenerator(cl, level[i].sup, level[i].items)
 	}

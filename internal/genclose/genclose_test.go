@@ -78,9 +78,6 @@ func TestMineValidation(t *testing.T) {
 	if _, err := Mine(classic(t), 0); err == nil {
 		t.Error("minSup 0 accepted")
 	}
-	if _, err := MineParallel(classic(t), 0, 2); err == nil {
-		t.Error("parallel minSup 0 accepted")
-	}
 }
 
 func TestMineThresholdAboveData(t *testing.T) {
@@ -98,8 +95,5 @@ func TestMineCancelledBeforeStart(t *testing.T) {
 	cancel()
 	if _, err := MineContext(ctx, classic(t), 2); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := MineParallelContext(ctx, classic(t), 2, 2); err != context.Canceled {
-		t.Fatalf("parallel err = %v, want context.Canceled", err)
 	}
 }

@@ -20,22 +20,6 @@ func (registered) MineClosed(ctx context.Context, d *dataset.Dataset, minSup int
 
 func (registered) TracksGenerators() bool { return true }
 
-// registeredParallel adapts the parallel miner; the worker count comes
-// from the context hint (WithParallelism in the root package), else
-// one worker per CPU.
-type registeredParallel struct{}
-
-func (registeredParallel) MineClosed(ctx context.Context, d *dataset.Dataset, minSup int) ([]closedset.Closed, error) {
-	fc, err := MineParallelContext(ctx, d, minSup, registry.ParallelismFromContext(ctx))
-	if err != nil {
-		return nil, err
-	}
-	return fc.All(), nil
-}
-
-func (registeredParallel) TracksGenerators() bool { return true }
-
 func init() {
 	registry.RegisterClosed("genclose", registered{})
-	registry.RegisterClosed("pgenclose", registeredParallel{})
 }

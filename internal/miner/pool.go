@@ -4,10 +4,11 @@ import "sync"
 
 // RunPool runs fn(0) … fn(n-1) on up to workers goroutines and returns
 // the first error any call produced (after all started work drained).
-// It is the bounded fan-out both parallel miners share: jobs are fed
-// by index, a failing worker stops the feed, and the caller's fn is
-// responsible for observing ctx — RunPool itself adds no cancellation
-// points beyond the feed/fail handshake.
+// It is the bounded fan-out charm, eclat and declat share over their
+// first-level classes: jobs are fed by index, a failing worker stops
+// the feed, and the caller's fn is responsible for observing ctx —
+// RunPool itself adds no cancellation points beyond the feed/fail
+// handshake. One worker runs every job inline.
 func RunPool(n, workers int, fn func(i int) error) error {
 	if workers > n {
 		workers = n

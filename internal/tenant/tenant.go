@@ -130,15 +130,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("tenant: confidence %v outside [0,1]", p.MinConfidence)
 	}
 	if p.Algorithm != "" {
-		found := false
-		for _, name := range closedrules.ClosedMiners() {
-			if name == p.Algorithm {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("tenant: unknown algorithm %q (registered: %v)", p.Algorithm, closedrules.ClosedMiners())
+		// The registry's own lookup, so every spelling WithAlgorithm
+		// accepts ("a-close", "CHARM") registers too.
+		if _, err := closedrules.LookupClosedMiner(p.Algorithm); err != nil {
+			return fmt.Errorf("tenant: %w", err)
 		}
 	}
 	for _, name := range []string{p.ExactBasis, p.ApproxBasis} {

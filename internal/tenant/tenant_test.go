@@ -106,15 +106,17 @@ func TestRegisterValidation(t *testing.T) {
 	if _, err := p.Register(Spec{ID: "a", Source: src, Params: Params{MinSupport: 2}}); err == nil {
 		t.Error("out-of-range support accepted")
 	}
-	if _, err := p.Register(Spec{ID: "a", Source: src, Params: Params{Algorithm: "no-such"}}); err == nil {
-		t.Error("unknown algorithm accepted")
+	for _, algo := range []string{"no-such", "pcharm"} {
+		if _, err := p.Register(Spec{ID: "a", Source: src, Params: Params{Algorithm: algo}}); err == nil {
+			t.Errorf("unknown algorithm %q accepted", algo)
+		}
 	}
 	if _, err := p.Register(Spec{ID: "a", Source: src, Refresh: -time.Second}); err == nil {
 		t.Error("negative refresh accepted")
 	}
-	// Registry-resolved names are accepted as they register; the
-	// generator-coupled miners included.
-	for _, algo := range []string{"genclose", "pgenclose"} {
+	// Names resolve through the registry, in every spelling
+	// WithAlgorithm accepts; the generator-coupled miner included.
+	for _, algo := range []string{"genclose", "a-close", "CHARM"} {
 		params := classicParams()
 		params.Algorithm = algo
 		if _, err := p.Register(Spec{ID: "algo-" + algo, Source: newCountingSource(t, classicTx), Params: params}); err != nil {

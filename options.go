@@ -15,7 +15,7 @@ type mineConfig struct {
 	minSupport  float64 // relative, in (0,1]; 0 when unset
 	absSupport  int     // absolute count ≥ 1; 0 when unset
 	algorithm   string  // registry name; empty means the call's default
-	parallelism int     // worker-count hint for parallel miners; 0 when unset
+	parallelism int     // worker count for charm, eclat and declat; 0 when unset
 }
 
 // WithMinSupport sets the relative minimum support threshold in
@@ -57,11 +57,12 @@ func WithAlgorithm(name string) MineOption {
 	}
 }
 
-// WithParallelism sets the number of workers parallel miners (such as
-// "pcharm" and "peclat") use, overriding their default of one worker
-// per CPU. Sequential miners ignore it. n must be ≥ 1; note that the
-// hint caps concurrency, it does not create it — mining with
-// WithParallelism(1) is the parallel algorithm run on one worker.
+// WithParallelism sets the number of workers "charm", "eclat" and
+// "declat" mine their first-level equivalence classes on, overriding
+// the default of GOMAXPROCS. The other miners run on the calling
+// goroutine and ignore it. n must be ≥ 1; WithParallelism(1) walks the
+// classes inline, with no goroutines. The worker count never shows in
+// the output: every n mines the same itemsets in the same order.
 func WithParallelism(n int) MineOption {
 	return func(c *mineConfig) error {
 		if n < 1 {

@@ -2,15 +2,33 @@ package closedrules
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
+
+	"closedrules/internal/naive"
+	"closedrules/internal/testgen"
 )
 
-// TestParallelMinersMatchSequentialOnGeneratorWorkloads cross-checks
-// that the parallel miners produce the identical closed-set family
-// (same itemsets, same supports, same count, same order) as their
-// sequential counterparts on each generated data regime.
-func TestParallelMinersMatchSequentialOnGeneratorWorkloads(t *testing.T) {
+// parallelismWorkload is one dataset and absolute threshold of the
+// parallelism table.
+type parallelismWorkload struct {
+	name   string
+	d      *Dataset
+	minSup int
+}
+
+// parallelismWorkloads is the table's data: the paper's classic context
+// at every threshold, the three generated regimes, and randomized
+// sparse and correlated internal/testgen contexts.
+func parallelismWorkloads(t *testing.T) []parallelismWorkload {
+	t.Helper()
+	var ws []parallelismWorkload
+	for _, minSup := range []int{1, 2, 3} {
+		ws = append(ws, parallelismWorkload{fmt.Sprintf("classic/%d", minSup), classic(t), minSup})
+	}
 	quest, err := GenerateQuest(QuestT10I4(400, 60, 11))
 	if err != nil {
 		t.Fatal(err)
@@ -23,70 +41,96 @@ func TestParallelMinersMatchSequentialOnGeneratorWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ws = append(ws,
+		parallelismWorkload{"quest", quest, 8},     // 0.02 of 400
+		parallelismWorkload{"census", census, 150}, // 0.5 of 300
+		parallelismWorkload{"mushroom", mush, 90},  // 0.3 of 300
+	)
+	r := rand.New(rand.NewSource(131))
+	for i := 0; i < 12; i++ {
+		ws = append(ws, parallelismWorkload{fmt.Sprintf("random/%d", i), testgen.Random(r, 30, 12, 0.4), 1 + r.Intn(4)})
+	}
+	for _, seed := range []int64{157, 173} {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < 20; i++ {
+			d := testgen.Correlated(r, 60, 5, 3, 0.15)
+			ws = append(ws, parallelismWorkload{fmt.Sprintf("correlated%d/%d", seed, i), d, 2 + r.Intn(6)})
+		}
+	}
+	return ws
+}
+
+// renderClosed and renderCounted print itemsets with their supports,
+// one per line, in the order given: the byte-identity yardstick of the
+// table below.
+func renderClosed(list []ClosedItemset) string {
+	var b strings.Builder
+	for _, c := range list {
+		fmt.Fprintf(&b, "%v %d\n", c.Items, c.Support)
+	}
+	return b.String()
+}
+
+func renderCounted(list []CountedItemset) string {
+	var b strings.Builder
+	for _, c := range list {
+		fmt.Fprintf(&b, "%v %d\n", c.Items, c.Support)
+	}
+	return b.String()
+}
+
+// TestParallelMinersMatchOraclesAtEveryParallelism runs the
+// class-parallel miners — charm, eclat and declat — at WithParallelism
+// 1, 2, 3 and 8 and unset (GOMAXPROCS) on every workload above. Each
+// run must be byte-identical (same itemsets, same supports, same
+// order) to an independent oracle: close for the closed sets, apriori
+// for the frequent itemsets, and apriori itself to the internal/naive
+// brute force.
+func TestParallelMinersMatchOraclesAtEveryParallelism(t *testing.T) {
 	ctx := context.Background()
-	for _, w := range []struct {
-		name   string
-		ds     *Dataset
-		minSup float64
-	}{
-		{"quest", quest, 0.02},
-		{"census", census, 0.5},
-		{"mushroom", mush, 0.3},
-	} {
-		seq, err := MineContext(ctx, w.ds, WithMinSupport(w.minSup), WithAlgorithm("charm"))
+	for _, w := range parallelismWorkloads(t) {
+		abs := WithAbsoluteMinSupport(w.minSup)
+		ref, err := MineContext(ctx, w.d, abs, WithAlgorithm("close"))
 		if err != nil {
-			t.Fatalf("%s charm: %v", w.name, err)
+			t.Fatalf("%s close: %v", w.name, err)
 		}
-		par, err := MineContext(ctx, w.ds, WithMinSupport(w.minSup), WithAlgorithm("pcharm"), WithParallelism(4))
+		wantClosed := renderClosed(ref.ClosedItemsets())
+		fi, err := MineFrequentContext(ctx, w.d, abs, WithAlgorithm("apriori"))
 		if err != nil {
-			t.Fatalf("%s pcharm: %v", w.name, err)
+			t.Fatalf("%s apriori: %v", w.name, err)
 		}
-		sc, pc := seq.ClosedItemsets(), par.ClosedItemsets()
-		if len(sc) != len(pc) {
-			t.Fatalf("%s: pcharm %d closed, charm %d", w.name, len(pc), len(sc))
+		wantFrequent := renderCounted(fi)
+		if brute := renderCounted(naive.FrequentItemsets(w.d.Context(), w.minSup).All()); brute != wantFrequent {
+			t.Fatalf("%s: apriori diverges from naive:\napriori:\n%snaive:\n%s", w.name, wantFrequent, brute)
 		}
-		for i := range sc {
-			if !sc[i].Items.Equal(pc[i].Items) || sc[i].Support != pc[i].Support {
-				t.Fatalf("%s: closed itemset %d differs: %v/%d vs %v/%d",
-					w.name, i, pc[i].Items, pc[i].Support, sc[i].Items, sc[i].Support)
+		for _, n := range []int{0, 1, 2, 3, 8} {
+			opts := []MineOption{abs}
+			if n > 0 {
+				opts = append(opts, WithParallelism(n))
 			}
-		}
-
-		seqFI, err := MineFrequentContext(ctx, w.ds, WithMinSupport(w.minSup), WithAlgorithm("eclat"))
-		if err != nil {
-			t.Fatalf("%s eclat: %v", w.name, err)
-		}
-		parFI, err := MineFrequentContext(ctx, w.ds, WithMinSupport(w.minSup), WithAlgorithm("peclat"), WithParallelism(4))
-		if err != nil {
-			t.Fatalf("%s peclat: %v", w.name, err)
-		}
-		if len(seqFI) != len(parFI) {
-			t.Fatalf("%s: peclat %d itemsets, eclat %d", w.name, len(parFI), len(seqFI))
-		}
-		for i := range seqFI {
-			if !seqFI[i].Items.Equal(parFI[i].Items) || seqFI[i].Support != parFI[i].Support {
-				t.Fatalf("%s: frequent itemset %d differs", w.name, i)
+			res, err := MineContext(ctx, w.d, append(opts, WithAlgorithm("charm"))...)
+			if err != nil {
+				t.Fatalf("%s charm/%d: %v", w.name, n, err)
 			}
-		}
-
-		parDI, err := MineFrequentContext(ctx, w.ds, WithMinSupport(w.minSup), WithAlgorithm("pdeclat"), WithParallelism(4))
-		if err != nil {
-			t.Fatalf("%s pdeclat: %v", w.name, err)
-		}
-		if len(seqFI) != len(parDI) {
-			t.Fatalf("%s: pdeclat %d itemsets, eclat %d", w.name, len(parDI), len(seqFI))
-		}
-		for i := range seqFI {
-			if !seqFI[i].Items.Equal(parDI[i].Items) || seqFI[i].Support != parDI[i].Support {
-				t.Fatalf("%s: pdeclat frequent itemset %d differs", w.name, i)
+			if got := renderClosed(res.ClosedItemsets()); got != wantClosed {
+				t.Fatalf("%s: charm at parallelism %d diverges from close:\ncharm:\n%sclose:\n%s", w.name, n, got, wantClosed)
+			}
+			for _, algo := range []string{"eclat", "declat"} {
+				fi, err := MineFrequentContext(ctx, w.d, append(opts, WithAlgorithm(algo))...)
+				if err != nil {
+					t.Fatalf("%s %s/%d: %v", w.name, algo, n, err)
+				}
+				if got := renderCounted(fi); got != wantFrequent {
+					t.Fatalf("%s: %s at parallelism %d diverges from apriori:\n%s:\n%sapriori:\n%s", w.name, algo, n, algo, got, wantFrequent)
+				}
 			}
 		}
 	}
 }
 
-// TestParallelMinersHonorDeadlineMidMine gives the parallel miners a
-// deadline that expires mid-run on a larger workload and expects the
-// deadline error, not a result.
+// TestParallelMinersHonorDeadlineMidMine gives the class-parallel
+// miners a deadline that expires mid-run on a larger workload and
+// expects the deadline error, not a result.
 func TestParallelMinersHonorDeadlineMidMine(t *testing.T) {
 	ds, err := GenerateQuest(QuestT20I6(4000, 300, 13))
 	if err != nil {
@@ -94,13 +138,13 @@ func TestParallelMinersHonorDeadlineMidMine(t *testing.T) {
 	}
 	// Warm the context cache so the deadline is spent inside the mine,
 	// not building the bitset view.
-	if _, err := MineContext(context.Background(), ds, WithAbsoluteMinSupport(ds.NumTransactions()/2), WithAlgorithm("pcharm")); err != nil {
+	if _, err := MineContext(context.Background(), ds, WithAbsoluteMinSupport(ds.NumTransactions()/2), WithAlgorithm("charm")); err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []string{"pcharm", "peclat", "pdeclat"} {
+	for _, algo := range []string{"charm", "eclat", "declat"} {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 		var mineErr error
-		if algo == "pcharm" {
+		if algo == "charm" {
 			_, mineErr = MineContext(ctx, ds, WithMinSupport(0.002), WithAlgorithm(algo), WithParallelism(4))
 		} else {
 			_, mineErr = MineFrequentContext(ctx, ds, WithMinSupport(0.002), WithAlgorithm(algo), WithParallelism(4))
@@ -118,8 +162,11 @@ func TestWithParallelismValidation(t *testing.T) {
 	if _, err := MineContext(context.Background(), d, WithMinSupport(0.4), WithParallelism(0)); err == nil {
 		t.Error("WithParallelism(0) accepted")
 	}
-	// The hint is harmless on sequential miners.
-	if _, err := MineContext(context.Background(), d, WithMinSupport(0.4), WithParallelism(8)); err != nil {
-		t.Errorf("sequential miner with parallelism hint: %v", err)
+	// More workers than first-level classes is fine on the default
+	// miner, and the hint is harmless on one that ignores it.
+	for _, algo := range []string{"charm", "close"} {
+		if _, err := MineContext(context.Background(), d, WithMinSupport(0.4), WithAlgorithm(algo), WithParallelism(8)); err != nil {
+			t.Errorf("%s with parallelism hint: %v", algo, err)
+		}
 	}
 }

@@ -10,11 +10,11 @@ import (
 )
 
 func TestRegistryHasAllBuiltins(t *testing.T) {
-	wantClosed := []string{"aclose", "charm", "close", "genclose", "pcharm", "pgenclose", "titanic"}
+	wantClosed := []string{"aclose", "charm", "close", "genclose", "titanic"}
 	if got := ClosedMiners(); !reflect.DeepEqual(got, wantClosed) {
 		t.Errorf("ClosedMiners() = %v, want %v", got, wantClosed)
 	}
-	wantFrequent := []string{"apriori", "declat", "eclat", "fpgrowth", "pascal", "pdeclat", "peclat"}
+	wantFrequent := []string{"apriori", "declat", "eclat", "fpgrowth", "pascal"}
 	if got := FrequentMiners(); !reflect.DeepEqual(got, wantFrequent) {
 		t.Errorf("FrequentMiners() = %v, want %v", got, wantFrequent)
 	}
@@ -52,6 +52,18 @@ func TestRegistryUnknownName(t *testing.T) {
 	}
 	if _, err := MineFrequentContext(context.Background(), d, WithMinSupport(0.4), WithAlgorithm("bogus")); err == nil {
 		t.Error("MineFrequentContext with unknown algorithm accepted")
+	}
+	// The parallel twins are retired names: charm, eclat and declat
+	// take the worker count from WithParallelism instead.
+	for _, name := range []string{"pcharm", "pgenclose"} {
+		if _, err := MineContext(context.Background(), d, WithMinSupport(0.4), WithAlgorithm(name)); err == nil {
+			t.Errorf("retired closed miner %q accepted", name)
+		}
+	}
+	for _, name := range []string{"peclat", "pdeclat"} {
+		if _, err := MineFrequentContext(context.Background(), d, WithMinSupport(0.4), WithAlgorithm(name)); err == nil {
+			t.Errorf("retired frequent miner %q accepted", name)
+		}
 	}
 	// A closed miner is not a frequent miner and vice versa.
 	if _, err := MineFrequentContext(context.Background(), d, WithMinSupport(0.4), WithAlgorithm("charm")); err == nil {
@@ -126,7 +138,7 @@ func TestMineFrequentContextAllMinersAgree(t *testing.T) {
 func TestTracksGenerators(t *testing.T) {
 	d := classic(t)
 	for name, want := range map[string]bool{
-		"close": true, "a-close": true, "titanic": true, "genclose": true, "pgenclose": true,
+		"close": true, "a-close": true, "titanic": true, "genclose": true,
 		"charm": false,
 	} {
 		res, err := MineContext(context.Background(), d, WithMinSupport(0.4), WithAlgorithm(name))

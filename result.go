@@ -72,7 +72,7 @@ func (r *Result) MinerName() string { return r.minerName }
 
 // HasGenerators reports whether every closed itemset of the result
 // carries its minimal generators — true for generator-tracking miners
-// (close, a-close, titanic, genclose/pgenclose) and for a loaded file
+// (close, a-close, titanic, genclose) and for a loaded file
 // saved from one. Generator-requiring bases on a generator-less mined
 // result re-mine via genclose when the miner was defaulted or the call
 // passes WithGeneratorResolution, and fail with an explicit error

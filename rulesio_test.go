@@ -152,7 +152,7 @@ func TestMineFrequentAllBaselinesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"eclat", "declat", "peclat", "pdeclat", "fpgrowth", "pascal"} {
+	for _, name := range []string{"eclat", "declat", "fpgrowth", "pascal"} {
 		got, err := MineFrequentContext(ctx, d, WithMinSupport(0.4), WithAlgorithm(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

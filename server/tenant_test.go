@@ -275,11 +275,24 @@ func TestTenantRegisterRejections(t *testing.T) {
 			"params": map[string]any{"minSupport": 1.5}}, http.StatusUnprocessableEntity},
 		{"unknown algorithm", map[string]any{"transactions": classicTx,
 			"params": map[string]any{"algorithm": "no-such-miner"}}, http.StatusUnprocessableEntity},
+		{"retired parallel twin", map[string]any{"transactions": classicTx,
+			"params": map[string]any{"algorithm": "pcharm"}}, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			postJSON(t, ts.URL+"/datasets", tc.body, tc.want, nil)
 		})
+	}
+}
+
+// TestTenantRegisterAlgorithmSpellings: POST /datasets accepts every
+// miner spelling the library's WithAlgorithm accepts, and the tenant
+// then serves.
+func TestTenantRegisterAlgorithmSpellings(t *testing.T) {
+	_, ts := newTenantServer(t, Config{})
+	for i, algo := range []string{"a-close", "CHARM", "GenClose"} {
+		id := registerTenant(t, ts.URL, fmt.Sprintf("spell%d", i), classicTx, map[string]any{"algorithm": algo})
+		getJSON(t, ts.URL+"/datasets/"+id+"/support?items=1,4", http.StatusOK, nil)
 	}
 }
 
