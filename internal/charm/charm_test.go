@@ -130,6 +130,19 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
+// TestMineParallelMatchesSequentialClassic mines the paper's classic
+// context at minSup 2 on 1, 2, 4 and 7 workers; each run must be the
+// family of the one-worker inline run.
+func TestMineParallelMatchesSequentialClassic(t *testing.T) {
+	d := classic(t)
+	seq := mineOn(t, d, 2, 1)
+	for _, workers := range []int{1, 2, 4, 7} {
+		if par := mineOn(t, d, 2, workers); !par.Equal(seq) {
+			t.Fatalf("workers=%d: %d closed, one worker %d", workers, par.Len(), seq.Len())
+		}
+	}
+}
+
 // TestMineParallelByteIdentical checks that the worker count never
 // shows in the output: All() returns the same closed itemsets, in the
 // same order, with the same supports as the one-worker inline run.

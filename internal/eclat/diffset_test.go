@@ -77,6 +77,27 @@ func TestMineDiffsetParallelByteIdentical(t *testing.T) {
 	assertWorkerCountInvisible(t, MineDiffsetContext, 167)
 }
 
+// TestMineDiffsetParallelMatchesEclat cross-checks the representations:
+// diffsets on 3 workers against tidset Eclat on one.
+func TestMineDiffsetParallelMatchesEclat(t *testing.T) {
+	r := rand.New(rand.NewSource(173))
+	for iter := 0; iter < 20; iter++ {
+		d := testgen.Correlated(r, 60, 5, 3, 0.15)
+		minSup := 2 + r.Intn(6)
+		want, err := MineContext(workers(1), d, minSup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MineDiffsetContext(workers(3), d, minSup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("iter %d: diffset on 3 workers %d itemsets, eclat %d", iter, got.Len(), want.Len())
+		}
+	}
+}
+
 func TestMineDiffsetParallelCancelledMidMine(t *testing.T) {
 	assertCancelledMidMine(t, MineDiffsetContext, 179)
 }

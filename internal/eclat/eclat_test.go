@@ -162,6 +162,27 @@ func TestMineParallelByteIdentical(t *testing.T) {
 	assertWorkerCountInvisible(t, MineContext, 151)
 }
 
+// TestMineParallelMatchesDiffsets cross-checks the representations:
+// tidset Eclat on 3 workers against the diffset miner on one.
+func TestMineParallelMatchesDiffsets(t *testing.T) {
+	r := rand.New(rand.NewSource(157))
+	for iter := 0; iter < 20; iter++ {
+		d := testgen.Correlated(r, 60, 5, 3, 0.15)
+		minSup := 2 + r.Intn(6)
+		want, err := MineDiffsetContext(workers(1), d, minSup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MineContext(workers(3), d, minSup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("iter %d: 3 workers %d itemsets, diffset %d", iter, got.Len(), want.Len())
+		}
+	}
+}
+
 func TestMineParallelCancelledMidMine(t *testing.T) {
 	assertCancelledMidMine(t, MineContext, 163)
 }

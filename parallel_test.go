@@ -20,15 +20,9 @@ type parallelismWorkload struct {
 	minSup int
 }
 
-// parallelismWorkloads is the table's data: the paper's classic context
-// at every threshold, the three generated regimes, and randomized
-// sparse and correlated internal/testgen contexts.
-func parallelismWorkloads(t *testing.T) []parallelismWorkload {
+// generatorWorkloads are the three generated data regimes.
+func generatorWorkloads(t *testing.T) []parallelismWorkload {
 	t.Helper()
-	var ws []parallelismWorkload
-	for _, minSup := range []int{1, 2, 3} {
-		ws = append(ws, parallelismWorkload{fmt.Sprintf("classic/%d", minSup), classic(t), minSup})
-	}
 	quest, err := GenerateQuest(QuestT10I4(400, 60, 11))
 	if err != nil {
 		t.Fatal(err)
@@ -41,11 +35,22 @@ func parallelismWorkloads(t *testing.T) []parallelismWorkload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws = append(ws,
-		parallelismWorkload{"quest", quest, 8},     // 0.02 of 400
-		parallelismWorkload{"census", census, 150}, // 0.5 of 300
-		parallelismWorkload{"mushroom", mush, 90},  // 0.3 of 300
-	)
+	return []parallelismWorkload{
+		{"quest", quest, 8},     // 0.02 of 400
+		{"census", census, 150}, // 0.5 of 300
+		{"mushroom", mush, 90},  // 0.3 of 300
+	}
+}
+
+// parallelismWorkloads are the paper's classic context at every
+// threshold and randomized sparse and correlated internal/testgen
+// contexts.
+func parallelismWorkloads(t *testing.T) []parallelismWorkload {
+	t.Helper()
+	var ws []parallelismWorkload
+	for _, minSup := range []int{1, 2, 3} {
+		ws = append(ws, parallelismWorkload{fmt.Sprintf("classic/%d", minSup), classic(t), minSup})
+	}
 	r := rand.New(rand.NewSource(131))
 	for i := 0; i < 12; i++ {
 		ws = append(ws, parallelismWorkload{fmt.Sprintf("random/%d", i), testgen.Random(r, 30, 12, 0.4), 1 + r.Intn(4)})
@@ -79,16 +84,29 @@ func renderCounted(list []CountedItemset) string {
 	return b.String()
 }
 
-// TestParallelMinersMatchOraclesAtEveryParallelism runs the
-// class-parallel miners — charm, eclat and declat — at WithParallelism
-// 1, 2, 3 and 8 and unset (GOMAXPROCS) on every workload above. Each
-// run must be byte-identical (same itemsets, same supports, same
-// order) to an independent oracle: close for the closed sets, apriori
-// for the frequent itemsets, and apriori itself to the internal/naive
-// brute force.
+// TestParallelMinersMatchSequentialOnGeneratorWorkloads cross-checks
+// the class-parallel miners against the sequential close and apriori
+// on each generated data regime, at every parallelism.
+func TestParallelMinersMatchSequentialOnGeneratorWorkloads(t *testing.T) {
+	assertMatchOraclesAtEveryParallelism(t, generatorWorkloads(t))
+}
+
+// TestParallelMinersMatchOraclesAtEveryParallelism runs the same check
+// on the classic, random and correlated workloads.
 func TestParallelMinersMatchOraclesAtEveryParallelism(t *testing.T) {
+	assertMatchOraclesAtEveryParallelism(t, parallelismWorkloads(t))
+}
+
+// assertMatchOraclesAtEveryParallelism runs the class-parallel miners
+// — charm, eclat and declat — at WithParallelism 1, 2, 3 and 8 and
+// unset (GOMAXPROCS) on every workload. Each run must be byte-identical
+// (same itemsets, same supports, same order) to an independent oracle:
+// close for the closed sets, apriori for the frequent itemsets, and
+// apriori itself to the internal/naive brute force.
+func assertMatchOraclesAtEveryParallelism(t *testing.T, ws []parallelismWorkload) {
+	t.Helper()
 	ctx := context.Background()
-	for _, w := range parallelismWorkloads(t) {
+	for _, w := range ws {
 		abs := WithAbsoluteMinSupport(w.minSup)
 		ref, err := MineContext(ctx, w.d, abs, WithAlgorithm("close"))
 		if err != nil {
