@@ -445,6 +445,30 @@ func (s Set) Next(x int) int {
 	return -1
 }
 
+// Prev returns the largest element ≤ x, or -1 if none exists: Next
+// walking downward, so a descending scan skips empty words whole.
+//
+//ar:noalloc
+func (s Set) Prev(x int) int {
+	if x >= s.width {
+		x = s.width - 1
+	}
+	if x < 0 {
+		return -1
+	}
+	i := x / wordBits
+	w := s.words[i] << (wordBits - 1 - uint(x)%wordBits)
+	if w != 0 {
+		return x - bits.LeadingZeros64(w)
+	}
+	for i--; i >= 0; i-- {
+		if s.words[i] != 0 {
+			return i*wordBits + wordBits - 1 - bits.LeadingZeros64(s.words[i])
+		}
+	}
+	return -1
+}
+
 // Slice returns the elements in ascending order.
 func (s Set) Slice() []int {
 	out := make([]int, 0, s.Count())

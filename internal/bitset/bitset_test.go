@@ -197,6 +197,47 @@ func TestNext(t *testing.T) {
 	}
 }
 
+func TestPrev(t *testing.T) {
+	s := FromSlice(200, []int{3, 64, 199})
+	cases := []struct{ in, want int }{
+		{-5, -1}, {2, -1}, {3, 3}, {63, 3}, {64, 64}, {65, 64}, {198, 64}, {199, 199}, {500, 199},
+	}
+	for _, c := range cases {
+		if got := s.Prev(c.in); got != c.want {
+			t.Errorf("Prev(%d) = %d, want %d", c.in, got, c.want)
+		}
+	}
+	if got := New(10).Prev(9); got != -1 {
+		t.Errorf("empty Prev = %d", got)
+	}
+	if got := New(0).Prev(0); got != -1 {
+		t.Errorf("zero-width Prev = %d", got)
+	}
+	// Against a linear scan on random sets.
+	r := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 200; iter++ {
+		w := 1 + r.Intn(300)
+		s := New(w)
+		for i := 0; i < w; i++ {
+			if r.Intn(10) == 0 {
+				s.Add(i)
+			}
+		}
+		for x := -1; x <= w; x++ {
+			want := -1
+			for y := x; y >= 0; y-- {
+				if y < w && s.Has(y) {
+					want = y
+					break
+				}
+			}
+			if got := s.Prev(x); got != want {
+				t.Fatalf("width %d: Prev(%d) = %d, want %d", w, x, got, want)
+			}
+		}
+	}
+}
+
 func TestString(t *testing.T) {
 	if got := FromSlice(10, []int{1, 3}).String(); got != "{1, 3}" {
 		t.Errorf("String = %q", got)

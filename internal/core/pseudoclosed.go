@@ -55,10 +55,14 @@ type Pseudo struct {
 // and its lowest id is h(X).
 // Because the implications hold in the data, L• keeps the FC extent of
 // a frequent set, so the extent of a NextClosure candidate
-// (A ∩ {<i}) ∪ {i} — one probe of the prefix extent against i's
-// posting — is also the extent of its L•-closure. A failed probe
-// proves every L•-closed set with that prefix infrequent, and the
-// enumeration moves straight to i−1.
+// (A ∩ {<i}) ∪ {i} is the prefix extent ANDed with i's posting, and
+// that is also the extent of its L•-closure. The candidate is frequent
+// iff i occurs in some closed set of the prefix extent, so beside each
+// prefix extent the enumeration keeps that extent's item occurrences —
+// the OR of its sets' item rows, the posting index transposed for the
+// length of the call — and only items in it are ever tried. Every
+// other item would be infrequent with that prefix, and so would each
+// L•-closed set grown from it.
 //
 // ctx is checked once per enumerated set.
 func PseudoClosedSets(ctx context.Context, numTx int, fc *closedset.Set) ([]Pseudo, error) {
@@ -101,11 +105,14 @@ func PseudoClosedSets(ctx context.Context, numTx int, fc *closedset.Set) ([]Pseu
 type enumerator struct {
 	closed []closedset.Closed // FC in (size, lex) order: id → set
 	idx    *closedset.Index   // item index ↔ item, and each slot's posting
+	rows   []bitset.Set       // FC id → item indices of its set: the postings transposed
 
 	// elems lists the current set A in ascending order; ext[t] is the
-	// FC extent of its first t elements, so ext[0] is all of FC.
+	// FC extent of its first t elements, so ext[0] is all of FC, and
+	// occ[t] holds the items occurring in some set of ext[t].
 	elems []int
 	ext   []bitset.Set
+	occ   []bitset.Set
 
 	premises    []bitset.Set // pseudo-closed sets found so far
 	conclusions []bitset.Set // their closures
@@ -116,28 +123,40 @@ type enumerator struct {
 func newEnumerator(fc *closedset.Set) *enumerator {
 	idx := fc.Index()
 	k := len(idx.Items())
-	return &enumerator{
+	e := &enumerator{
 		closed: fc.All(),
 		idx:    idx,
 		ext:    []bitset.Set{bitset.Full(idx.Len())},
+		occ:    []bitset.Set{bitset.Full(k)}, // every slot's item is in FC
 		cand:   bitset.New(k),
 		diff:   bitset.New(k),
 	}
+	e.rows = make([]bitset.Set, len(e.closed))
+	for id := range e.rows {
+		e.rows[id] = bitset.New(k)
+	}
+	for j := 0; j < k; j++ {
+		idx.PostingAt(j).ForEach(func(id int) bool {
+			e.rows[id].Add(j)
+			return true
+		})
+	}
+	return e
 }
 
 // next advances a to the lectically next frequent L•-closed set and
 // reports whether there is one. On success e.elems lists the new set
 // and e.ext[len(e.elems)] holds its FC extent.
+//
+// The scan visits, from the top down, only the items of occ[t] for the
+// current prefix length t: the items whose candidate (A ∩ {<i}) ∪ {i}
+// is frequent, and A's own elements, which hold in every set of A's
+// non-empty extent and so in every occ[t].
 func (e *enumerator) next(a bitset.Set) bool {
 	t := len(e.elems) // |A ∩ {0…i}| at the top of each iteration
-	for i := len(e.idx.Items()) - 1; i >= 0; i-- {
+	for i := e.occ[t].Prev(len(e.idx.Items()) - 1); i >= 0; i = e.occ[t].Prev(i - 1) {
 		if a.Has(i) {
 			t--
-			continue
-		}
-		// (A ∩ {<i}) ∪ {i} is frequent iff A's prefix extent meets
-		// posting[i]; if not, no L•-closed set with this prefix is.
-		if !e.ext[t].IntersectionAtLeast(e.idx.PostingAt(i), 1) {
 			continue
 		}
 		e.cand.Clear()
@@ -158,10 +177,10 @@ func (e *enumerator) next(a bitset.Set) bool {
 	return false
 }
 
-// advance rebuilds the extent stack for the new set a, which shares
-// its first t elements with the old one and has i as element t. Every
-// prefix from (A ∩ {<i}) ∪ {i} on has the same extent, because L•
-// keeps extents.
+// advance rebuilds the extent and occurrence stacks for the new set a,
+// which shares its first t elements with the old one and has i as
+// element t. Every prefix from (A ∩ {<i}) ∪ {i} on has the same
+// extent, because L• keeps extents.
 func (e *enumerator) advance(t, i int, a bitset.Set) {
 	e.elems = e.elems[:t]
 	a.ForEach(func(x int) bool {
@@ -172,10 +191,18 @@ func (e *enumerator) advance(t, i int, a bitset.Set) {
 	})
 	for len(e.ext) <= len(e.elems) {
 		e.ext = append(e.ext, bitset.New(len(e.closed)))
+		e.occ = append(e.occ, bitset.New(a.Width()))
 	}
-	e.ext[t+1].AndInto(e.ext[t], e.idx.PostingAt(i))
+	ext, occ := e.ext[t+1], e.occ[t+1]
+	ext.AndInto(e.ext[t], e.idx.PostingAt(i))
+	occ.Clear()
+	ext.ForEach(func(id int) bool {
+		occ.Or(e.rows[id])
+		return true
+	})
 	for j := t + 2; j <= len(e.elems); j++ {
-		e.ext[j].Copy(e.ext[t+1])
+		e.ext[j].Copy(ext)
+		e.occ[j].Copy(occ)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"closedrules/internal/charm"
 	"closedrules/internal/closedset"
 	"closedrules/internal/dataset"
+	"closedrules/internal/fca"
 	"closedrules/internal/galois"
 	"closedrules/internal/itemset"
 	"closedrules/internal/naive"
@@ -22,8 +24,9 @@ import (
 // enumeration of PseudoClosedSets: its output (items, closures and
 // supports, in order) must be identical to the frequent-itemset family
 // scan it replaced, and its itemsets identical to the definitional
-// naive.PseudoClosedContext, on the paper's worked example plus
-// randomized and correlated datasets across several thresholds.
+// naive.PseudoClosedContext and, at minsup 1, to Ganter's
+// context-side stem base (fca.StemBase), on the paper's worked example plus
+// randomized, correlated and wide datasets across several thresholds.
 
 // familyScanPseudoClosed is the construction PseudoClosedSets
 // replaced, kept as the oracle: it walks the complete frequent-itemset
@@ -195,6 +198,120 @@ func TestPseudoClosedMatchesNaiveContext(t *testing.T) {
 	}
 	if emptyPseudo == 0 {
 		t.Fatal("no context had ∅ pseudo-closed; the universal-item case went unexercised")
+	}
+}
+
+// TestPseudoClosedMatchesStemBase pins PseudoClosedSets at minsup 1 to
+// Ganter's stem base of the whole context (fca.StemBase, no threshold):
+// every subset of a frequent set is frequent, so the frequent
+// pseudo-closed sets are exactly the pseudo-intents with a non-empty
+// extent, with the same closures and supports.
+func TestPseudoClosedMatchesStemBase(t *testing.T) {
+	r := rand.New(rand.NewSource(503))
+	for iter := 0; iter < 120; iter++ {
+		d := testgen.Random(r, 12, 7, 0.45)
+		if iter%2 == 1 {
+			d = randomWithUniversal(t, r)
+		}
+		c := d.Context()
+		got, err := PseudoClosedSets(context.Background(), c.NumObjects, naive.ClosedItemsets(c, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := fca.StemBase(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Pseudo
+		for _, rule := range sb {
+			if rule.Support > 0 {
+				want = append(want, Pseudo{Items: rule.Antecedent, Closure: rule.Antecedent.Union(rule.Consequent), Support: rule.Support})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Items.Compare(want[j].Items) < 0 })
+		if g, w := renderPseudo(got), renderPseudo(want); g != w {
+			t.Fatalf("iter %d: pseudo-closed sets diverge from the stem base:\nnextclosure:\n%sstem base:\n%s", iter, g, w)
+		}
+	}
+}
+
+// wideDataset returns n one-item transactions {0}, …, {n−1}; with
+// common, item n joins every transaction.
+func wideDataset(t testing.TB, n int, common bool) *dataset.Dataset {
+	t.Helper()
+	tx := make([][]int, n)
+	for i := range tx {
+		tx[i] = []int{i}
+		if common {
+			tx[i] = append(tx[i], n)
+		}
+	}
+	d, err := dataset.FromTransactions(tx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// wideFC is FC of wideDataset(n, common) at absolute support 1, for
+// n ≥ 2, written down rather than mined: the bottom h(∅) of support n
+// (∅, or {n} with common) and one set of support 1 per transaction.
+func wideFC(n int, common bool) *closedset.Set {
+	var bottom itemset.Itemset
+	if common {
+		bottom = itemset.Of(n)
+	}
+	fc := closedset.New()
+	fc.Add(bottom, n)
+	for i := 0; i < n; i++ {
+		fc.Add(bottom.With(i), 1)
+	}
+	return fc
+}
+
+// TestPseudoClosedWide runs the wide shape, where every item is
+// frequent and no two items meet: with n one-item transactions nothing
+// is pseudo-closed, and with one item common to all of them the basis
+// is exactly ∅ → {n}. At n = 200 the written-down FC is checked against
+// the naive miner and the answers against naive.PseudoClosed.
+func TestPseudoClosedWide(t *testing.T) {
+	ctx := context.Background()
+	for _, n := range []int{200, 5000} {
+		for _, common := range []bool{false, true} {
+			fc := wideFC(n, common)
+			got, err := PseudoClosedSets(ctx, n, fc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 200 {
+				c := wideDataset(t, n, common).Context()
+				if !fc.Equal(naive.ClosedItemsets(c, 1)) {
+					t.Fatalf("n %d common %v: written-down FC differs from the naive miner's", n, common)
+				}
+				want := naive.PseudoClosed(c, 1)
+				if len(got) != len(want) {
+					t.Fatalf("n %d common %v: %d pseudo-closed %s, naive %v", n, common, len(got), renderPseudo(got), want)
+				}
+				for i, p := range got {
+					if !p.Items.Equal(want[i]) {
+						t.Fatalf("n %d common %v: pseudo-closed #%d is %v, naive %v", n, common, i, p.Items, want[i])
+					}
+				}
+			}
+			if !common {
+				if len(got) != 0 {
+					t.Fatalf("n %d: %d pseudo-closed sets, want none:\n%s", n, len(got), renderPseudo(got))
+				}
+				continue
+			}
+			dg, err := DuquenneGuigues(ctx, n, fc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(dg) != 1 || dg[0].Antecedent.Len() != 0 || !dg[0].Consequent.Equal(itemset.Of(n)) || dg[0].Support != n {
+				t.Fatalf("n %d: DG = %v, want exactly ∅ → {%d} (support %d)", n, dg, n, n)
+			}
+		}
 	}
 }
 
