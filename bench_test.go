@@ -148,6 +148,7 @@ func benchE3(b *testing.B, d *dataset.Dataset, minSup, minConf float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var nRed int
 	for i := 0; i < b.N; i++ {

@@ -165,13 +165,13 @@ func (s *Set) All() []Closed {
 //
 // An itemset that is itself closed — the common case on serving paths,
 // where queries arrive straight from basis rules — is answered by one
-// key lookup; any other is the first id of X's up-set in the Index.
+// key lookup; any other is the first id of X's up-set (Index.First).
 func (s *Set) ClosureOf(x itemset.Itemset) (Closed, bool) {
 	if i, ok := s.byKey[x.Key()]; ok {
 		return s.list[i], true
 	}
 	idx := s.Index()
-	id := idx.first(x, 0)
+	id := idx.First(x, 0)
 	if id < 0 {
 		return Closed{}, false
 	}
@@ -195,7 +195,7 @@ func (s *Set) Maximal() []Closed {
 	idx := s.Index()
 	var out []Closed
 	for id, pos := range idx.order {
-		if c := s.list[pos]; idx.first(c.Items, id+1) < 0 {
+		if c := s.list[pos]; idx.First(c.Items, id+1) < 0 {
 			out = append(out, c)
 		}
 	}

@@ -104,8 +104,10 @@ func (x *Index) UpSet(dst bitset.Set, items itemset.Itemset) {
 	}
 }
 
-// first returns the smallest id ≥ from whose set contains items, or -1.
-func (x *Index) first(items itemset.Itemset, from int) int {
+// First returns the smallest id ≥ from whose set contains items, or
+// -1. From 0 it is the id of h(items), found word by word through the
+// postings without building the up-set or a key string.
+func (x *Index) First(items itemset.Itemset, from int) int {
 	var buf [16]bitset.Set
 	ps, ok := x.Postings(buf[:0], items)
 	if !ok {

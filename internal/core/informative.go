@@ -60,6 +60,9 @@ func InformativeBasis(lat *lattice.Lattice, fc *closedset.Set, reduced bool, opt
 	if len(gens) == 0 && fc.Len() > 0 {
 		return nil, fmt.Errorf("core: closed set carries no generators (use Close or A-Close)")
 	}
+	// Consequent supports come from fc itself: with generators resolved
+	// by a re-mine, fc is not the set lat was built from.
+	p := pairRules{nodes: fc.All(), idx: fc.Index()}
 	var out []rules.Rule
 	for _, g := range gens {
 		if g.Generator.Len() == 0 && !opt.IncludeEmptyAntecedent {
@@ -76,21 +79,8 @@ func InformativeBasis(lat *lattice.Lattice, fc *closedset.Set, reduced bool, opt
 			targets = strictSupersets(lat, hIdx)
 		}
 		for _, ti := range targets {
-			hi := lat.Nodes[ti]
-			cons := hi.Items.Diff(g.Generator)
-			consSup := 0
-			if s, ok := fc.SupportOf(cons); ok {
-				consSup = s
-			}
-			r := rules.Rule{
-				Antecedent:        g.Generator,
-				Consequent:        cons,
-				Support:           hi.Support,
-				AntecedentSupport: g.Support,
-				ConsequentSupport: consSup,
-			}
-			if r.Confidence() >= opt.MinConfidence {
-				out = append(out, r)
+			if hi := lat.Nodes[ti]; keepPair(g.Support, hi.Support, opt) {
+				out = append(out, p.rule(g.Generator, g.Support, hi))
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"closedrules/internal/closedset"
+	"closedrules/internal/itemset"
 	"closedrules/internal/lattice"
 	"closedrules/internal/rules"
 )
@@ -30,6 +31,7 @@ func LuxenburgerFull(fc *closedset.Set, opt LuxenburgerOptions) ([]rules.Rule, e
 		return nil, err
 	}
 	all := fc.All()
+	p := pairRules{nodes: all, idx: fc.Index()}
 	var out []rules.Rule
 	for i, lo := range all {
 		if lo.Items.Len() == 0 && !opt.IncludeEmptyAntecedent {
@@ -39,9 +41,8 @@ func LuxenburgerFull(fc *closedset.Set, opt LuxenburgerOptions) ([]rules.Rule, e
 			if i == j || !hi.Items.ContainsAll(lo.Items) || len(hi.Items) == len(lo.Items) {
 				continue
 			}
-			r := closedPairRule(lo, hi, fc)
-			if r.Confidence() >= opt.MinConfidence {
-				out = append(out, r)
+			if keepPair(lo.Support, hi.Support, opt) {
+				out = append(out, p.rule(lo.Items, lo.Support, hi))
 			}
 		}
 	}
@@ -53,38 +54,92 @@ func LuxenburgerFull(fc *closedset.Set, opt LuxenburgerOptions) ([]rules.Rule, e
 // Luxenburger basis (Theorem 2, second part): only the Hasse edges of
 // the iceberg lattice. Every approximate rule's support and confidence
 // is recoverable from these edges by path products, which is what
-// Engine implements.
+// Engine implements. lat must be lattice.Build(fc).
+//
+// The edges come out in canonical rule order, so nothing is sorted:
+// node ids ascend in (size, lex) order, so the antecedents ascend; a
+// node's upper covers ascend in the same order and all hold the node's
+// items, and removing a common subset keeps that order among the
+// consequents. One counting pass sizes the output and a single
+// consequent array.
 func LuxenburgerReduction(lat *lattice.Lattice, fc *closedset.Set, opt LuxenburgerOptions) ([]rules.Rule, error) {
 	if err := checkConf(opt.MinConfidence); err != nil {
 		return nil, err
 	}
-	var out []rules.Rule
-	for _, e := range lat.Edges() {
-		lo, hi := lat.Nodes[e[0]], lat.Nodes[e[1]]
-		if lo.Items.Len() == 0 && !opt.IncludeEmptyAntecedent {
-			continue
-		}
-		r := closedPairRule(lo, hi, fc)
-		if r.Confidence() >= opt.MinConfidence {
-			out = append(out, r)
+	n, size := 0, 0
+	edges := func(visit func(lo, hi closedset.Closed)) {
+		for i, ups := range lat.Up {
+			lo := lat.Nodes[i]
+			if lo.Items.Len() == 0 && !opt.IncludeEmptyAntecedent {
+				continue
+			}
+			for _, j := range ups {
+				if hi := lat.Nodes[j]; keepPair(lo.Support, hi.Support, opt) {
+					visit(lo, hi)
+				}
+			}
 		}
 	}
-	rules.Sort(out)
+	edges(func(lo, hi closedset.Closed) {
+		n++
+		size += hi.Items.Len() - lo.Items.Len()
+	})
+	if n == 0 {
+		return nil, nil
+	}
+	p := pairRules{nodes: lat.Nodes, idx: fc.Index(), arena: make([]int, 0, size)}
+	out := make([]rules.Rule, 0, n)
+	edges(func(lo, hi closedset.Closed) {
+		out = append(out, p.rule(lo.Items, lo.Support, hi))
+	})
 	return out, nil
 }
 
-func closedPairRule(lo, hi closedset.Closed, fc *closedset.Set) rules.Rule {
-	cons := hi.Items.Diff(lo.Items)
-	consSup := 0
-	if s, ok := fc.SupportOf(cons); ok {
-		consSup = s
+// keepPair reports whether a rule from an antecedent of support anteSup
+// to a closed itemset of support sup passes the confidence threshold,
+// as rules.Rule.Confidence measures it.
+func keepPair(anteSup, sup int, opt LuxenburgerOptions) bool {
+	return rules.Rule{Support: sup, AntecedentSupport: anteSup}.Confidence() >= opt.MinConfidence
+}
+
+// consChunk is the length of the arrays pairRules carves consequents
+// from when its caller did not size one up front.
+const consChunk = 4096
+
+// pairRules builds the rules ante → hi∖ante of the Luxenburger and
+// informative bases, where hi is a closed itemset containing ante.
+// Consequents are carved from a shared array, each capped by a full
+// slice expression so that appending to one reallocates it instead of
+// overwriting the next. A consequent's support is that of its closure,
+// the first id of its up-set in the posting index, so no key string is
+// built.
+type pairRules struct {
+	nodes []closedset.Closed // FC in index id order
+	idx   *closedset.Index
+	arena []int
+}
+
+func (p *pairRules) rule(ante itemset.Itemset, anteSup int, hi closedset.Closed) rules.Rule {
+	if n := hi.Items.Len() - ante.Len(); cap(p.arena)-len(p.arena) < n {
+		p.arena = make([]int, 0, max(consChunk, n))
 	}
+	start, k := len(p.arena), 0
+	for _, it := range hi.Items {
+		for k < len(ante) && ante[k] < it {
+			k++
+		}
+		if k < len(ante) && ante[k] == it {
+			continue
+		}
+		p.arena = append(p.arena, it)
+	}
+	cons := itemset.Itemset(p.arena[start:len(p.arena):len(p.arena)])
 	return rules.Rule{
-		Antecedent:        lo.Items,
+		Antecedent:        ante,
 		Consequent:        cons,
 		Support:           hi.Support,
-		AntecedentSupport: lo.Support,
-		ConsequentSupport: consSup,
+		AntecedentSupport: anteSup,
+		ConsequentSupport: p.nodes[p.idx.First(cons, 0)].Support,
 	}
 }
 

@@ -25,9 +25,12 @@ type Lattice struct {
 	Up    [][]int // Up[i]: immediate supersets (upper covers) of node i
 	Down  [][]int // Down[i]: immediate subsets (lower covers) of node i
 
-	index map[string]int
-	fc    *closedset.Set
+	idx *closedset.Index
 }
+
+// coverChunk is the length of the arrays each Build worker carves its
+// nodes' Up lists from.
+const coverChunk = 4096
 
 // Build constructs the lattice and its Hasse diagram from a set of
 // closed itemsets. Node ids are the ids of the set's posting index, so
@@ -36,7 +39,9 @@ type Lattice struct {
 // and accepting one strikes that cover's up-set from the rest of the
 // walk. A node costs one up-set plus one strike per cover, word-
 // parallel over |FC| bits; the walks are independent and spread over
-// GOMAXPROCS goroutines.
+// GOMAXPROCS goroutines. Each worker carves its Up lists from shared
+// chunks, and Down is carved from one array counted from Up, so the
+// diagram costs a few allocations rather than two per node.
 func Build(fc *closedset.Set) *Lattice {
 	nodes := fc.All()
 	idx := fc.Index()
@@ -44,11 +49,7 @@ func Build(fc *closedset.Set) *Lattice {
 		Nodes: nodes,
 		Up:    make([][]int, len(nodes)),
 		Down:  make([][]int, len(nodes)),
-		index: make(map[string]int, len(nodes)),
-		fc:    fc,
-	}
-	for i, n := range nodes {
-		l.index[n.Items.Key()] = i
+		idx:   idx,
 	}
 
 	// walk claims nodes from next until none are left. Every candidate
@@ -59,15 +60,25 @@ func Build(fc *closedset.Set) *Lattice {
 	walk := func() {
 		cand := bitset.New(len(nodes))
 		var ps []bitset.Set
+		var covers, chunk []int
 		for i := int(next.Add(1)) - 1; i < len(nodes); i = int(next.Add(1)) - 1 {
-			idx.UpSet(cand, nodes[i].Items)
-			var covers []int
+			lo := nodes[i].Items
+			idx.UpSet(cand, lo)
+			covers = covers[:0]
 			for j := cand.Next(i + 1); j >= 0; j = cand.Next(j + 1) {
 				covers = append(covers, j)
-				ps, _ = idx.Postings(ps[:0], nodes[j].Items.Diff(nodes[i].Items))
+				ps = diffPostings(ps[:0], idx, nodes[j].Items, lo)
 				cand.AndNotAll(ps, j+1)
 			}
-			l.Up[i] = covers
+			if len(covers) == 0 {
+				continue
+			}
+			if cap(chunk)-len(chunk) < len(covers) {
+				chunk = make([]int, 0, max(coverChunk, len(covers)))
+			}
+			start := len(chunk)
+			chunk = append(chunk, covers...)
+			l.Up[i] = chunk[start:len(chunk):len(chunk)]
 		}
 	}
 
@@ -86,8 +97,24 @@ func Build(fc *closedset.Set) *Lattice {
 	walk()
 	wg.Wait()
 
-	// Up lists are visited in ascending i, so every Down list is built
-	// sorted.
+	// Count each node's lower covers, carve every Down list from one
+	// array at its exact capacity, then fill them visiting Up in
+	// ascending i, so every Down list is built sorted.
+	deg := make([]int, len(nodes))
+	edges := 0
+	for _, covers := range l.Up {
+		for _, j := range covers {
+			deg[j]++
+		}
+		edges += len(covers)
+	}
+	flat := make([]int, edges)
+	for j, pos := 0, 0; j < len(nodes); j++ {
+		if deg[j] > 0 {
+			l.Down[j] = flat[pos : pos : pos+deg[j]]
+			pos += deg[j]
+		}
+	}
 	for i, covers := range l.Up {
 		for _, j := range covers {
 			l.Down[j] = append(l.Down[j], i)
@@ -96,13 +123,36 @@ func Build(fc *closedset.Set) *Lattice {
 	return l
 }
 
+// diffPostings appends to dst the postings of the items of hi that lo
+// lacks — hi∖lo without materializing the difference. Both itemsets are
+// sorted and every item of a closed itemset has a posting.
+func diffPostings(dst []bitset.Set, idx *closedset.Index, hi, lo itemset.Itemset) []bitset.Set {
+	k := 0
+	for _, it := range hi {
+		for k < len(lo) && lo[k] < it {
+			k++
+		}
+		if k < len(lo) && lo[k] == it {
+			continue
+		}
+		j, _ := idx.Slot(it)
+		dst = append(dst, idx.PostingAt(j))
+	}
+	return dst
+}
+
 // Len returns the number of nodes.
 func (l *Lattice) Len() int { return len(l.Nodes) }
 
-// NodeIndex returns the index of the node with the given itemset.
+// NodeIndex returns the index of the node with the given itemset. Ids
+// ascend in (size, lex) order, so the first id of the itemset's up-set
+// is the itemset itself exactly when it is a node.
 func (l *Lattice) NodeIndex(items itemset.Itemset) (int, bool) {
-	i, ok := l.index[items.Key()]
-	return i, ok
+	i := l.idx.First(items, 0)
+	if i < 0 || !l.Nodes[i].Items.Equal(items) {
+		return 0, false
+	}
+	return i, true
 }
 
 // BottomIndex returns the index of the least node, or -1 when the node
@@ -216,19 +266,15 @@ func (l *Lattice) PathProduct(a, b int) (float64, bool) {
 // closed sets are closed, and support only grows downward), so the
 // meet always exists in a complete mining result.
 func (l *Lattice) Meet(a, b int) (int, bool) {
-	inter := l.Nodes[a].Items.Intersect(l.Nodes[b].Items)
-	i, ok := l.index[inter.Key()]
-	return i, ok
+	return l.NodeIndex(l.Nodes[a].Items.Intersect(l.Nodes[b].Items))
 }
 
 // Join returns the supremum of two nodes: the smallest closed itemset
-// containing both, which exists iff their union is frequent.
+// containing both, which exists iff their union is frequent: the first
+// id of the union's up-set.
 func (l *Lattice) Join(a, b int) (int, bool) {
-	c, ok := l.fc.ClosureOf(l.Nodes[a].Items.Union(l.Nodes[b].Items))
-	if !ok {
-		return 0, false
-	}
-	return l.NodeIndex(c.Items)
+	i := l.idx.First(l.Nodes[a].Items.Union(l.Nodes[b].Items), 0)
+	return i, i >= 0
 }
 
 // DOT renders the Hasse diagram in Graphviz format; names may be nil.
