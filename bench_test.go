@@ -8,7 +8,9 @@ package closedrules
 // lattice construction, basis extraction, inference).
 
 import (
+	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"closedrules/internal/aclose"
@@ -190,6 +192,7 @@ func BenchmarkE3_AllRules_Mushroom(b *testing.B) {
 
 func benchMiner(b *testing.B, d *dataset.Dataset, minSup float64, mine func(*dataset.Dataset, int) error) {
 	abs := d.AbsoluteSupport(minSup)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := mine(d, abs); err != nil {
@@ -238,6 +241,34 @@ func BenchmarkE4_AClose_Mushroom(b *testing.B) {
 		_, _, err := aclose.Mine(d, s)
 		return err
 	})
+}
+
+// BenchmarkE4_Charm_Mushroom is the mine layer of the dense pipeline:
+// the default miner (charm) through MineContext, FC hand-off included,
+// at the repository benchmark's dense threshold. allocs/op reads the
+// per-depth tidset slabs and the single hand-off.
+func BenchmarkE4_Charm_Mushroom(b *testing.B) {
+	benchMiner(b, mushroomBench(b), 0.1, func(d *dataset.Dataset, s int) error {
+		_, err := MineContext(context.Background(), d, WithAbsoluteMinSupport(s))
+		return err
+	})
+}
+
+// BenchmarkReadDat_Mushroom is the parse layer of the dense pipeline:
+// .dat bytes to a Dataset, one exact-size transaction copy per line.
+func BenchmarkReadDat_Mushroom(b *testing.B) {
+	var buf bytes.Buffer
+	if err := dataset.WriteDat(&buf, mushroomBench(b)); err != nil {
+		b.Fatal(err)
+	}
+	dat := buf.Bytes()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dataset.ReadDat(bytes.NewReader(dat)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- E5: scale-up -------------------------------------------------------
@@ -404,7 +435,9 @@ func BenchmarkLatticeBuild_T10I4(b *testing.B) {
 // 0.5: the layer number behind the repository benchmark's dense
 // recommend latency. Every call misses the cache and reads the
 // antecedent index: each basket is asked once per snapshot, and a
-// Swap, untimed, starts a fresh snapshot when the baskets run out.
+// Swap, untimed, starts a fresh snapshot when the baskets run out. A
+// collection, also untimed, follows each Swap, so the timed calls do
+// not pay for GC work the Swap's garbage set off.
 func BenchmarkRecommendMiss_Mushroom(b *testing.B) {
 	qs := mushroomService(b)
 	baskets := missBaskets(qs, 4096, 1)
@@ -417,6 +450,7 @@ func BenchmarkRecommendMiss_Mushroom(b *testing.B) {
 			if err := qs.Swap(qs.ServedResult()); err != nil {
 				b.Fatal(err)
 			}
+			runtime.GC()
 			b.StartTimer()
 		}
 		if _, err := qs.Recommend(ctx, baskets[i%len(baskets)], 5); err != nil {

@@ -29,6 +29,18 @@ func New(width int) Set {
 	return Set{words: make([]uint64, (width+wordBits-1)/wordBits), width: width}
 }
 
+// Over returns a set of the given width stored in words, which the
+// caller owns: no copy is made, so writes through the set land in
+// words and vice versa. len(words) must be exactly the word count of
+// width. It lets a caller carve many same-width sets out of one slab
+// it reuses, where New would allocate each.
+func Over(words []uint64, width int) Set {
+	if width < 0 || len(words) != (width+wordBits-1)/wordBits {
+		panic(fmt.Sprintf("bitset: %d words for width %d", len(words), width))
+	}
+	return Set{words: words, width: width}
+}
+
 // Full returns the set containing every element of the universe.
 func Full(width int) Set {
 	s := New(width)

@@ -400,6 +400,37 @@ func TestInPlacePrimitivesAllocFree(t *testing.T) {
 	}
 }
 
+// TestOverSharesCallerWords checks that a set built by Over reads and
+// writes the caller's words, and that a word count that does not match
+// the width panics.
+func TestOverSharesCallerWords(t *testing.T) {
+	slab := make([]uint64, 4)
+	a, b := Over(slab[:2], 100), Over(slab[2:], 100)
+	a.Add(3)
+	a.Add(99)
+	b.AndInto(a, Full(100))
+	if slab[0] != 1<<3 || slab[1] != 1<<35 || !b.Equal(a) {
+		t.Fatalf("slab = %x, b = %v", slab, b)
+	}
+	slab[0] = 0
+	if a.Has(3) || !a.Has(99) {
+		t.Fatalf("a = %v after the caller cleared word 0", a)
+	}
+	if got := Over(nil, 0); got.Width() != 0 || !got.IsEmpty() {
+		t.Fatalf("Over(nil, 0) = %v", got)
+	}
+	for _, n := range []int{1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for %d words of width 100", n)
+				}
+			}()
+			Over(make([]uint64, n), 100)
+		}()
+	}
+}
+
 // TestInPlaceWidthMismatchPanics verifies the width contract.
 func TestInPlaceWidthMismatchPanics(t *testing.T) {
 	defer func() {

@@ -19,9 +19,10 @@
 package charm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"closedrules/internal/bitset"
 	"closedrules/internal/closedset"
@@ -61,36 +62,66 @@ type class struct {
 	root     int
 	members  []member
 	attempts []attempt
+	scratch  // held only while run walks the class
+}
+
+// scratch is what a class walk reuses: levels[d] serves the walk's
+// depth d (the class's own children are depth 1), and cut is the
+// members buffer classOf fills below the first level. A finished class
+// hands its scratch to the next one to start, so a run holds about one
+// scratch per worker, whatever the number of classes.
+type scratch struct {
+	levels []level
+	cut    []member
+}
+
+// level is the scratch one depth of a class walk reuses: the child
+// nodes, the words their tidsets are carved from, and the skip marks
+// of the walk over them. Siblings share it: the walk is depth-first,
+// so depth d is rewritten only after the whole subtree below the
+// previous sibling has returned, and no node of depth d is read again
+// by then.
+type level struct {
+	nodes []node
+	words []uint64
+	skip  []bool
 }
 
 // collector is the subsumption index the attempts replay through: a
 // candidate is closed unless an earlier-found closed itemset with the
-// same tidset contains it (Zaki's hash-based closedness check).
+// same tidset contains it (Zaki's hash-based closedness check). The
+// found sets are kept in a plain list, in replay order; head and next
+// chain the list positions of each tidset-hash bucket.
 type collector struct {
-	fc     *closedset.Set
-	byHash map[uint64][]subEntry
+	fc   []closedset.Closed
+	head map[uint64]int // hash → 1 + the last position with that hash
+	next []int          // position → 1 + the previous one with its hash
 }
 
-type subEntry struct {
-	items   itemset.Itemset
-	support int
-}
-
-func newCollector() *collector {
-	return &collector{fc: closedset.New(), byHash: map[uint64][]subEntry{}}
+// newCollector sizes the index for the number of attempts the replay
+// will make, an upper bound on |FC| that charm's pruning keeps close:
+// every attempt on MUSHROOMS* at minsup 0.1 is closed.
+func newCollector(attempts int) *collector {
+	return &collector{
+		fc:   make([]closedset.Closed, 0, attempts),
+		head: make(map[uint64]int, attempts),
+		next: make([]int, 0, attempts),
+	}
 }
 
 // insert adds x unless a previously found closed itemset with the same
 // tidset subsumes it. Equal support plus containment implies equal
-// tidsets, so the hash only buckets — it never decides.
+// tidsets, so the hash only buckets — it never decides. A repeated x
+// is subsumed by its first insertion, so fc holds no duplicates.
 func (c *collector) insert(x itemset.Itemset, h uint64, sup int) {
-	for _, e := range c.byHash[h] {
-		if e.support == sup && e.items.ContainsAll(x) {
+	for e := c.head[h]; e != 0; e = c.next[e-1] {
+		if f := c.fc[e-1]; f.Support == sup && f.Items.ContainsAll(x) {
 			return // subsumed: x is not closed
 		}
 	}
-	c.byHash[h] = append(c.byHash[h], subEntry{items: x, support: sup})
-	c.fc.Add(x, sup)
+	c.next = append(c.next, c.head[h])
+	c.fc = append(c.fc, closedset.Closed{Items: x, Support: sup})
+	c.head[h] = len(c.fc)
 }
 
 // Mine returns the frequent closed itemsets (including the bottom
@@ -105,6 +136,17 @@ func Mine(d *dataset.Dataset, minSup int) (*closedset.Set, error) {
 // the context's parallelism hint, else GOMAXPROCS; one worker walks
 // the classes inline.
 func MineContext(ctx context.Context, d *dataset.Dataset, minSup int) (*closedset.Set, error) {
+	fc, err := mine(ctx, d, minSup)
+	if err != nil {
+		return nil, err
+	}
+	return closedset.FromSlice(fc), nil
+}
+
+// mine is MineContext's walk and merge. It returns FC as the
+// collector's list, in replay order: the registry hand-off sorts that
+// list once instead of building a keyed Set only to copy it out.
+func mine(ctx context.Context, d *dataset.Dataset, minSup int) ([]closedset.Closed, error) {
 	if minSup < 1 {
 		return nil, fmt.Errorf("charm: minSup %d < 1", minSup)
 	}
@@ -128,12 +170,13 @@ func MineContext(ctx context.Context, d *dataset.Dataset, minSup int) (*closedse
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		x, members := classOf(roots, skip, i, minSup)
+		x, members := classOf(roots, skip, i, minSup, nil)
 		classes = append(classes, &class{x: x, root: i, members: members})
 	}
 
+	free := make(chan scratch, len(classes))
 	err := registry.RunPool(len(classes), registry.ParallelismFromContext(ctx), func(i int) error {
-		return classes[i].run(ctx, roots, minSup)
+		return classes[i].run(ctx, roots, minSup, free)
 	})
 	if err != nil {
 		return nil, err
@@ -141,7 +184,11 @@ func MineContext(ctx context.Context, d *dataset.Dataset, minSup int) (*closedse
 
 	// Deterministic merge: replay every class's attempts in root order
 	// through the subsumption index.
-	col := newCollector()
+	attempts := 1
+	for _, c := range classes {
+		attempts += len(c.attempts)
+	}
+	col := newCollector(attempts)
 	addBottom(dc, d, minSup, col)
 	for _, c := range classes {
 		for _, a := range c.attempts {
@@ -152,10 +199,17 @@ func MineContext(ctx context.Context, d *dataset.Dataset, minSup int) (*closedse
 }
 
 // run mines one class subtree, recording candidate insertions in walk
-// order (children post-order, then the class prefix itself).
-func (c *class) run(ctx context.Context, roots []node, minSup int) error {
+// order (children post-order, then the class prefix itself). It takes
+// a finished class's scratch from free if one is there, and leaves its
+// own there when done.
+func (c *class) run(ctx context.Context, roots []node, minSup int, free chan scratch) error {
+	select {
+	case c.scratch = <-free:
+	default:
+	}
+	defer func() { free <- c.scratch; c.scratch = scratch{} }()
 	if len(c.members) > 0 {
-		if err := c.extend(ctx, minSup, buildChildren(roots, c.root, c.x, c.members)); err != nil {
+		if err := c.extend(ctx, minSup, c.buildChildren(roots, c.root, c.x, c.members, 1), 1); err != nil {
 			return err
 		}
 	}
@@ -197,19 +251,23 @@ func buildRoots(dc *dataset.Context, numTx, minSup int) []node {
 }
 
 func sortBySupport(ns []node) {
-	sort.SliceStable(ns, func(i, j int) bool {
-		if ns[i].sup != ns[j].sup {
-			return ns[i].sup < ns[j].sup
+	slices.SortStableFunc(ns, func(a, b node) int {
+		if a.sup != b.sup {
+			return cmp.Compare(a.sup, b.sup)
 		}
-		return ns[i].items.Compare(ns[j].items) < 0
+		return a.items.Compare(b.items)
 	})
 }
 
 // extend processes one level of the IT-tree below a class (Zaki's
 // CHARM-EXTEND), recording every candidate closed itemset as an
-// attempt.
-func (c *class) extend(ctx context.Context, minSup int, nodes []node) error {
-	skip := make([]bool, len(nodes))
+// attempt. nodes are the class's depth-d children, carved from
+// c.levels[d]; each one's own children go to depth d+1.
+func (c *class) extend(ctx context.Context, minSup int, nodes []node, depth int) error {
+	lv := c.level(depth)
+	lv.skip = grow(lv.skip, len(nodes))
+	skip := lv.skip
+	clear(skip)
 	for i := range nodes {
 		if skip[i] {
 			continue
@@ -217,15 +275,35 @@ func (c *class) extend(ctx context.Context, minSup int, nodes []node) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		x, members := classOf(nodes, skip, i, minSup)
-		if len(members) > 0 {
-			if err := c.extend(ctx, minSup, buildChildren(nodes, i, x, members)); err != nil {
+		var x itemset.Itemset
+		x, c.cut = classOf(nodes, skip, i, minSup, c.cut[:0])
+		if len(c.cut) > 0 {
+			if err := c.extend(ctx, minSup, c.buildChildren(nodes, i, x, c.cut, depth+1), depth+1); err != nil {
 				return err
 			}
 		}
 		c.attempts = append(c.attempts, attempt{items: x, hash: nodes[i].tids.Hash(), sup: nodes[i].sup})
 	}
 	return nil
+}
+
+// level returns the scratch of depth d, adding empty levels as the
+// walk first reaches them. The pointer is valid until the next call
+// that adds a level, so callers never hold it across a descent.
+func (c *class) level(d int) *level {
+	for len(c.levels) <= d {
+		c.levels = append(c.levels, level{})
+	}
+	return &c.levels[d]
+}
+
+// grow returns s resliced to length n, reallocating only when its
+// capacity is short. The contents are not preserved.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
 }
 
 // member is one surviving child of an equivalence class, identified by
@@ -252,10 +330,12 @@ func probe(a, b node) (sup int, taSubTb, tbSubTa bool) {
 // through probe only, so deciding class boundaries allocates no
 // tidsets at all — materialization is buildChildren's job, which
 // MineContext defers into its workers. Shared by the first-level cut
-// in MineContext and the per-class walk (extend).
-func classOf(nodes []node, skip []bool, i, minSup int) (itemset.Itemset, []member) {
+// in MineContext and the per-class walk (extend). The members are
+// appended to buf, which the walk reuses: they are spent by
+// buildChildren before the descent below them.
+func classOf(nodes []node, skip []bool, i, minSup int, buf []member) (itemset.Itemset, []member) {
 	x := nodes[i].items
-	var members []member
+	members := buf
 	for j := i + 1; j < len(nodes); j++ {
 		if skip[j] {
 			continue
@@ -281,19 +361,27 @@ func classOf(nodes []node, skip []bool, i, minSup int) (itemset.Itemset, []membe
 	return x, members
 }
 
-// buildChildren materializes the child nodes of one class: intersected
-// tidsets, the absorbed prefix x unioned in (every item of x occurs in
-// all of ti ⊇ child tids), sorted by support for the next level.
-func buildChildren(nodes []node, i int, x itemset.Itemset, members []member) []node {
+// buildChildren materializes the child nodes of one class at the
+// given depth: the absorbed prefix x unioned into each member's items
+// (every item of x occurs in all of ti ⊇ child tids), sorted by
+// support for the next level. The node list and the intersected
+// tidsets are carved from c.levels[depth] with AndInto, not allocated:
+// the siblings at one depth take turns with that scratch (see level).
+func (c *class) buildChildren(nodes []node, i int, x itemset.Itemset, members []member, depth int) []node {
 	ti := nodes[i].tids
-	children := make([]node, len(members))
+	width := ti.Width()
+	nw := (width + 63) / 64 // words per tidset, as bitset.Over checks
+	lv := c.level(depth)
+	lv.nodes = grow(lv.nodes, len(members))
+	lv.words = grow(lv.words, len(members)*nw)
 	for k, mb := range members {
-		children[k] = node{
+		tids := bitset.Over(lv.words[k*nw:(k+1)*nw:(k+1)*nw], width)
+		lv.nodes[k] = node{
 			items: nodes[mb.j].items.Union(x),
-			tids:  ti.Intersect(nodes[mb.j].tids),
+			tids:  tids.AndInto(ti, nodes[mb.j].tids),
 			sup:   mb.sup,
 		}
 	}
-	sortBySupport(children)
-	return children
+	sortBySupport(lv.nodes)
+	return lv.nodes
 }

@@ -2,12 +2,14 @@ package charm
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"closedrules/internal/closedset"
 	"closedrules/internal/dataset"
+	"closedrules/internal/gen"
 	"closedrules/internal/itemset"
 	"closedrules/internal/miner"
 	"closedrules/internal/naive"
@@ -199,5 +201,87 @@ func TestMineParallelCancelledBeforeStart(t *testing.T) {
 func TestMineParallelValidation(t *testing.T) {
 	if _, err := MineContext(miner.ContextWithParallelism(context.Background(), 2), classic(t), 0); err == nil {
 		t.Error("minSup 0 accepted")
+	}
+}
+
+// sameFamily fails t unless got and want hold the same closed itemsets
+// with the same supports, in the same order.
+func sameFamily(t *testing.T, what string, got, want []closedset.Closed) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d closed, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Items.Equal(want[i].Items) || got[i].Support != want[i].Support {
+			t.Fatalf("%s: element %d is %v/%d, want %v/%d",
+				what, i, got[i].Items, got[i].Support, want[i].Items, want[i].Support)
+		}
+	}
+}
+
+// TestRegisteredMatchesMineContext checks the registry hand-off — the
+// collector's list sorted once — against MineContext's keyed Set read
+// back through All, element for element.
+func TestRegisteredMatchesMineContext(t *testing.T) {
+	m, err := miner.LookupClosed("charm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(149))
+	for iter := 0; iter < 60; iter++ {
+		d := testgen.Random(r, 30, 12, 0.2+0.6*r.Float64())
+		minSup := 1 + r.Intn(4)
+		ctx := miner.ContextWithParallelism(context.Background(), 1+r.Intn(4))
+		got, err := m.MineClosed(ctx, d, minSup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MineContext(ctx, d, minSup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFamily(t, "registered", got, want.All())
+	}
+}
+
+// TestRegisteredMatchesNaiveDeepDense runs the registered miner on
+// dense shapes whose IT-tree is a dozen levels deep — MUSHROOMS* at
+// minsup 0.1 and a 70%-dense random context — on 1, 2 and 4 workers
+// against the brute-force oracle. Every depth of a class walk reuses
+// its own tidset slab, so a slab shared across depths (or a parent
+// overwritten before its subtree is done) shows here.
+func TestRegisteredMatchesNaiveDeepDense(t *testing.T) {
+	m, err := miner.LookupClosed("charm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mushroom, err := gen.Mushroom(gen.MushroomConfig{NumObjects: 400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := []struct {
+		name   string
+		d      *dataset.Dataset
+		minSup int
+	}{
+		{"mushroom", mushroom, mushroom.AbsoluteSupport(0.1)},
+		{"random", testgen.Random(rand.New(rand.NewSource(151)), 60, 14, 0.7), 3},
+	}
+	for _, sh := range shapes {
+		want := naive.ClosedItemsets(sh.d.Context(), sh.minSup).All()
+		deepest := 0
+		for _, c := range want {
+			deepest = max(deepest, c.Items.Len())
+		}
+		if deepest < 8 {
+			t.Fatalf("%s: deepest closed set has %d items; the shape is too shallow", sh.name, deepest)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			got, err := m.MineClosed(miner.ContextWithParallelism(context.Background(), workers), sh.d, sh.minSup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameFamily(t, fmt.Sprintf("%s, %d workers", sh.name, workers), got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package charm
 
 import (
 	"context"
+	"slices"
 
 	"closedrules/internal/closedset"
 	"closedrules/internal/dataset"
@@ -10,12 +11,16 @@ import (
 
 type registered struct{}
 
+// MineClosed hands the collector's list over in canonical (size, lex)
+// order — the order of closedset.Set.All — sorted once in place, with
+// no keyed Set or posting index built only to be copied out.
 func (registered) MineClosed(ctx context.Context, d *dataset.Dataset, minSup int) ([]closedset.Closed, error) {
-	fc, err := MineContext(ctx, d, minSup)
+	fc, err := mine(ctx, d, minSup)
 	if err != nil {
 		return nil, err
 	}
-	return fc.All(), nil
+	slices.SortFunc(fc, func(a, b closedset.Closed) int { return a.Items.Compare(b.Items) })
+	return fc, nil
 }
 
 func (registered) TracksGenerators() bool { return false }

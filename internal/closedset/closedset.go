@@ -41,9 +41,10 @@ func New() *Set {
 
 // FromSlice rebuilds a Set from a flat list of closed itemsets (the
 // exchange form used by the miner registry and the persistence layer),
-// preserving supports and generators.
+// preserving supports and generators. The map and the list are sized
+// for items up front, so building grows neither.
 func FromSlice(items []Closed) *Set {
-	s := New()
+	s := &Set{byKey: make(map[string]int, len(items)), list: make([]Closed, 0, len(items))}
 	for _, c := range items {
 		s.Add(c.Items, c.Support)
 		for _, g := range c.Generators {

@@ -42,9 +42,27 @@ func MinSupport(list []Rule, n int) []Rule {
 	return Filter(list, func(r Rule) bool { return r.Support >= n })
 }
 
-// MinConfidence keeps rules with confidence ≥ c.
+// MinConfidence keeps rules with confidence ≥ c, preserving order. It
+// counts the kept rules first and allocates the result once, at its
+// exact size (nil when nothing is kept): thresholding a memoized basis
+// of ~47k rules would otherwise regrow the result ~20 times.
 func MinConfidence(list []Rule, c float64) []Rule {
-	return Filter(list, func(r Rule) bool { return r.Confidence() >= c })
+	n := 0
+	for _, r := range list {
+		if r.Confidence() >= c {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Rule, 0, n)
+	for _, r := range list {
+		if r.Confidence() >= c {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // TopBy returns the k rules maximizing score (stable on ties by the
