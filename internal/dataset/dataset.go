@@ -8,6 +8,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -46,19 +47,32 @@ func FromTransactionsN(raw [][]int, numItems int) (*Dataset, error) {
 	if numItems < 0 {
 		return nil, fmt.Errorf("dataset: negative numItems %d", numItems)
 	}
-	d := &Dataset{tx: make([]itemset.Itemset, len(raw)), numItems: numItems, ctxc: &ctxCache{}}
+	d := &Dataset{tx: make([]itemset.Itemset, 0, len(raw)), numItems: numItems, ctxc: &ctxCache{}}
+	var buf []int
 	for i, t := range raw {
 		for _, x := range t {
 			if x < 0 {
 				return nil, fmt.Errorf("dataset: transaction %d has negative item %d", i, x)
 			}
-			if x+1 > d.numItems {
-				d.numItems = x + 1
-			}
 		}
-		d.tx[i] = itemset.Of(t...)
+		buf = append(buf[:0], t...)
+		d.appendTx(buf)
 	}
 	return d, nil
+}
+
+// appendTx appends t to d's transactions as one sorted, deduplicated,
+// exact-size itemset and raises d.numItems past its largest item. It
+// sorts t in place; t must hold no negative item.
+func (d *Dataset) appendTx(t []int) {
+	if !slices.IsSorted(t) {
+		slices.Sort(t)
+	}
+	t = slices.Compact(t)
+	if len(t) > 0 && t[len(t)-1]+1 > d.numItems {
+		d.numItems = t[len(t)-1] + 1
+	}
+	d.tx = append(d.tx, append(make(itemset.Itemset, 0, len(t)), t...))
 }
 
 // WithNames attaches item names. len(names) must be ≥ NumItems.

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 	"unicode/utf8"
 
 	"closedrules/internal/itemset"
@@ -20,149 +20,86 @@ import (
 //
 // Each line is parsed from the scanner's bytes into one reused buffer,
 // and the only copy kept is the transaction itself, sorted,
-// deduplicated and exactly sized. A line holding a byte ≥ 0x80 takes
-// the string path instead (strings.TrimSpace, strings.Fields,
-// strconv.Atoi), so Unicode spaces separate items and every line is
-// accepted, rejected and reported exactly as that path would.
+// deduplicated and exactly sized. Items are separated by the runes
+// unicode.IsSpace accepts, so Unicode spaces separate them too.
 func ReadDat(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	d := &Dataset{ctxc: &ctxCache{}}
 	var (
-		tx       []itemset.Itemset
-		buf      []int
-		numItems int
-		err      error
+		buf []int
+		err error
 	)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Bytes()
-		if isASCII(line) {
-			buf, err = parseASCIILine(line, lineNo, buf[:0])
-		} else {
-			buf, err = parseLine(string(line), lineNo, buf[:0])
-		}
-		if err != nil {
+		if buf, err = parseLine(sc.Bytes(), lineNo, buf[:0]); err != nil {
 			return nil, err
 		}
-		if len(buf) == 0 {
-			continue // blank or comment
+		if len(buf) > 0 { // else a blank or comment line
+			d.appendTx(buf)
 		}
-		if !slices.IsSorted(buf) {
-			slices.Sort(buf)
-		}
-		t := slices.Compact(buf)
-		for _, x := range t {
-			if x+1 > numItems {
-				numItems = x + 1
-			}
-		}
-		tx = append(tx, append(make(itemset.Itemset, 0, len(t)), t...))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: read: %v", err)
 	}
 	// The list grew by doubling; the dataset keeps it at its exact length.
-	tx = append(make([]itemset.Itemset, 0, len(tx)), tx...)
-	return &Dataset{tx: tx, numItems: numItems, ctxc: &ctxCache{}}, nil
+	d.tx = append(make([]itemset.Itemset, 0, len(d.tx)), d.tx...)
+	return d, nil
 }
 
-// isASCII reports whether every byte of b is below 0x80.
-func isASCII(b []byte) bool {
-	for _, c := range b {
-		if c >= utf8.RuneSelf {
-			return false
+// parseLine appends the items of one line to buf; a blank line, or one
+// whose first non-space byte is '#', appends none.
+func parseLine(line []byte, lineNo int, buf []int) ([]int, error) {
+	first := true
+	for i := 0; i < len(line); {
+		if w := spaceAt(line, i); w > 0 {
+			i += w
+			continue
 		}
-	}
-	return true
-}
-
-// asciiSpace reports the bytes unicode.IsSpace accepts below 0x80.
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
-}
-
-// maxFastDigits is a digit count no int can overflow: 18 for a 64-bit
-// int, 9 for a 32-bit one (0.3 bits per digit undercounts log10 2).
-const maxFastDigits = (strconv.IntSize - 1) * 3 / 10
-
-// parseASCIILine appends the items of one all-ASCII line to buf; a
-// blank or comment line appends none. A field that is not a sign and a
-// short digit run goes through strconv.Atoi, so errors read as in
-// parseLine.
-func parseASCIILine(line []byte, lineNo int, buf []int) ([]int, error) {
-	i := 0
-	for i < len(line) && asciiSpace(line[i]) {
-		i++
-	}
-	if i < len(line) && line[i] == '#' {
-		return buf, nil
-	}
-	for i < len(line) {
-		j := i
-		for j < len(line) && !asciiSpace(line[j]) {
+		if first && line[i] == '#' {
+			return buf, nil
+		}
+		first = false
+		j := i + 1
+		for j < len(line) && spaceAt(line, j) == 0 {
 			j++
 		}
-		x, ok := atoiFast(line[i:j])
-		if !ok {
-			var err error
-			if x, err = strconv.Atoi(string(line[i:j])); err != nil {
-				return nil, fmt.Errorf("dataset: line %d: bad item %q: %v", lineNo, line[i:j], err)
-			}
+		x, err := strconv.Atoi(string(line[i:j]))
+		if err != nil {
+			return nil, fmt.Errorf("dataset: line %d: bad item %q: %v", lineNo, line[i:j], err)
 		}
 		if x < 0 {
 			return nil, fmt.Errorf("dataset: line %d: negative item %d", lineNo, x)
 		}
 		buf = append(buf, x)
 		i = j
-		for i < len(line) && asciiSpace(line[i]) {
-			i++
-		}
 	}
 	return buf, nil
 }
 
-// atoiFast parses an optional sign and 1 to maxFastDigits decimal
-// digits; ok is false for anything else, which strconv.Atoi decides.
-func atoiFast(f []byte) (x int, ok bool) {
-	neg := false
-	if len(f) > 0 && (f[0] == '+' || f[0] == '-') {
-		neg = f[0] == '-'
-		f = f[1:]
+// spaceAt returns the width of the space that starts at line[i], or 0
+// if none does. Spaces are the runes unicode.IsSpace accepts, the ones
+// strings.TrimSpace and strings.Fields split on; a rune is decoded only
+// at a byte ≥ 0x80, and an invalid byte decodes to utf8.RuneError,
+// which is not a space.
+func spaceAt(line []byte, i int) int {
+	if c := line[i]; c < utf8.RuneSelf {
+		return int(asciiSpace[c])
 	}
-	if len(f) == 0 || len(f) > maxFastDigits {
-		return 0, false
-	}
-	for _, c := range f {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		x = x*10 + int(c-'0')
-	}
-	if neg {
-		x = -x
-	}
-	return x, true
+	return runeSpace(line[i:])
 }
 
-// parseLine is parseASCIILine for a line that may hold Unicode spaces.
-func parseLine(line string, lineNo int, buf []int) ([]int, error) {
-	line = strings.TrimSpace(line)
-	if line == "" || strings.HasPrefix(line, "#") {
-		return buf, nil
+// runeSpace is spaceAt for a line tail that starts at a byte ≥ 0x80.
+func runeSpace(tail []byte) int {
+	if r, w := utf8.DecodeRune(tail); unicode.IsSpace(r) {
+		return w
 	}
-	for _, f := range strings.Fields(line) {
-		x, err := strconv.Atoi(f)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad item %q: %v", lineNo, f, err)
-		}
-		if x < 0 {
-			return nil, fmt.Errorf("dataset: line %d: negative item %d", lineNo, x)
-		}
-		buf = append(buf, x)
-	}
-	return buf, nil
+	return 0
 }
+
+// asciiSpace marks the bytes below 0x80 that unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
 
 // ReadDatFile reads a .dat file from disk.
 func ReadDatFile(path string) (*Dataset, error) {

@@ -9,17 +9,20 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"closedrules/internal/itemset"
 )
 
 // referenceReadDat is the line parser ReadDat had before it parsed the
 // scanner's bytes in place: Scanner.Text, strings.TrimSpace,
-// strings.Fields and strconv.Atoi per line, with FromTransactions
-// normalizing the result. ReadDat must accept, reject and report
+// strings.Fields and strconv.Atoi per line, with itemset.Of
+// normalizing each transaction and NumItems the largest item plus one.
+// It shares no code with ReadDat, which must accept, reject and report
 // every input exactly as it does.
 func referenceReadDat(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var raw [][]int
+	d := &Dataset{tx: []itemset.Itemset{}, ctxc: &ctxCache{}}
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -38,13 +41,16 @@ func referenceReadDat(r io.Reader) (*Dataset, error) {
 				return nil, fmt.Errorf("dataset: line %d: negative item %d", lineNo, x)
 			}
 			t = append(t, x)
+			if x+1 > d.numItems {
+				d.numItems = x + 1
+			}
 		}
-		raw = append(raw, t)
+		d.tx = append(d.tx, itemset.Of(t...))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: read: %v", err)
 	}
-	return FromTransactions(raw)
+	return d, nil
 }
 
 // sameAsReference fails t unless ReadDat and referenceReadDat agree on
