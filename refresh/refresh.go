@@ -37,6 +37,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -319,6 +320,13 @@ func (r *Refresher) cycle(ctx context.Context, force bool) error {
 		}
 	}
 
+	// A full re-mine builds a whole new snapshot while the old one still
+	// serves. Collect first, so the build starts from the live heap and
+	// not from the request garbage and dropped snapshots left since the
+	// last collection: the collector then runs at the same points of
+	// every build, and the process's peak memory is the same on every
+	// reload instead of depending on where the last cycle left the heap.
+	runtime.GC()
 	d, err := r.cfg.Source.Load(ctx)
 	if err != nil {
 		return r.fail(fmt.Errorf("refresh: load: %w", err))

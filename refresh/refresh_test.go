@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -287,6 +289,28 @@ func TestManualRefreshSwaps(t *testing.T) {
 	}
 	if got := qs.Stats().Swaps; got != 1 {
 		t.Fatalf("QueryService swap counter = %d, want 1", got)
+	}
+}
+
+// A full re-mine starts from a collected heap, so its peak memory does
+// not depend on the garbage pending when the cycle began. Automatic
+// collection is off for the test: any collection counted is the
+// cycle's own.
+func TestFullCycleCollectsBeforeMining(t *testing.T) {
+	qs := classicService(t)
+	r, err := New(qs, Config{Source: NewFileSource(writeClassic(t)), MineOptions: mineOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := r.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if after.NumGC == before.NumGC {
+		t.Fatal("a full refresh cycle mined without collecting first")
 	}
 }
 
